@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .geometry import PointSet, sq_dist
 from .exactnum import Quad3
+from .formulas import count_polynomial
 from .lenz import CircleConfig
 
 QUARTER = "quarter"
@@ -66,26 +67,33 @@ def tick_chord_class(N: int, dt: int) -> str:
     return OTHER
 
 
+def _tick_set(ticks: Sequence[int], N: int) -> set[int]:
+    if N % 12 != 0:
+        raise ValueError("modulus must be divisible by 12")
+    return {t % N for t in ticks}
+
+
 def count_good_pairs(ticks: Sequence[int], N: int) -> int:
-    """Unordered same-circle pairs at 90 degrees (chord sqrt2 * radius)."""
-    return sum(
-        1
-        for a, b in combinations(ticks, 2)
-        if tick_chord_class(N, b - a) == QUARTER
-    )
+    """Unordered same-circle pairs at 90 degrees (chord sqrt2 * radius).
+
+    Each such pair is counted once, from the tick a quarter turn behind the
+    other; ticks are taken modulo N and assumed distinct there.
+    """
+    S = _tick_set(ticks, N)
+    return sum(1 for t in S if (t + N // 4) % N in S)
 
 
 def count_inscribed_triangles(ticks: Sequence[int], N: int) -> int:
-    """Tick triples pairwise at 120 degrees (inscribed equilateral triangles)."""
-    count = 0
-    for a, b, c in combinations(sorted(ticks), 3):
-        if (
-            tick_chord_class(N, b - a) == THIRD
-            and tick_chord_class(N, c - b) == THIRD
-            and tick_chord_class(N, c - a) == THIRD
-        ):
-            count += 1
-    return count
+    """Tick triples pairwise at 120 degrees (inscribed equilateral triangles).
+
+    Each triangle is seen once from each of its three vertices; ticks are
+    taken modulo N and assumed distinct there.
+    """
+    S = _tick_set(ticks, N)
+    third = N // 3
+    return sum(
+        1 for t in S if (t + third) % N in S and (t + 2 * third) % N in S
+    ) // 3
 
 
 def is_structured_simplex(
@@ -195,45 +203,25 @@ def brute_force_structured(
     return CountReport(d1, d2, d3, side_length_sq=side_sq)
 
 
-def _elem_sym(values: Sequence[int], k: int) -> int:
-    """Elementary symmetric polynomial e_k of the given values."""
-    coeffs = [1] + [0] * k
-    for v in values:
-        for j in range(min(k, len(coeffs) - 1), 0, -1):
-            coeffs[j] += coeffs[j - 1] * v
-    return coeffs[k]
-
-
 def count_structured(
     config: CircleConfig, k: int, side_sq: Optional[Fraction] = None
 ) -> CountReport:
     """Closed-form census from per-circle sizes, good pairs, and triangles.
 
-    delta1 is the elementary symmetric function e_k of the class sizes;
-    delta2 sums, over the number of same-circle pairs l, the product of
-    good-pair counts on l chosen circles times e_{k-2l} of the remaining
-    sizes (the empty product for k = 2l contributes 1); delta3 (k = 3 only)
-    sums the per-circle inscribed-triangle counts.
+    With s_i the circle sizes and g_i their good-pair counts, delta1 is
+    [x^k] prod_i (1 + s_i x) and delta1 + delta2 is
+    [x^k] prod_i (1 + s_i x + g_i x^2) (see formulas.count_polynomial);
+    delta3 (k = 3 only) sums the per-circle inscribed-triangle counts.
     """
     if k < 3:
         raise ValueError("need k >= 3")
     allow_mixed, allow_single = _side_modes(config, side_sq)
-    sizes = [c.size for c in config.components]
-    gp = [count_good_pairs(c.ticks, c.modulus) for c in config.components]
-    r = len(sizes)
-    d1 = _elem_sym(sizes, k) if allow_mixed else 0
-    d2 = 0
+    d1 = d2 = d3 = 0
     if allow_mixed:
-        for ell in range(1, k // 2 + 1):
-            for J in combinations(range(r), ell):
-                prod = 1
-                for j in J:
-                    prod *= gp[j]
-                if prod == 0:
-                    continue
-                rest = [sizes[i] for i in range(r) if i not in J]
-                d2 += prod * _elem_sym(rest, k - 2 * ell)
-    d3 = 0
+        sizes = [c.size for c in config.components]
+        gp = [count_good_pairs(c.ticks, c.modulus) for c in config.components]
+        d1, mixed = count_polynomial(sizes, gp, k)
+        d2 = mixed - d1
     if k == 3 and allow_single:
         d3 = sum(
             count_inscribed_triangles(c.ticks, c.modulus) for c in config.components

@@ -18,11 +18,22 @@ from . import census, formulas, hypergraph, lenz
 
 def _parse_range(spec: str) -> range:
     """Inclusive "a..b" sweeps; a bare integer is a singleton."""
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return range(int(a), int(b) + 1)
-    v = int(spec)
-    return range(v, v + 1)
+    a, sep, b = spec.partition("..")
+    try:
+        lo = int(a)
+        values = range(lo, (int(b) if sep else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--n: expected an integer or a..b, got {spec!r}") from None
+    if not values:
+        raise ValueError(f"--n: empty range {spec!r}")
+    return values
+
+
+def _positive_int(spec: str) -> int:
+    value = int(spec)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -81,11 +92,20 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _parse_partition(spec: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in spec.split(","))
+def _parse_partition(spec: Optional[str]) -> tuple[int, ...]:
+    if spec is None:
+        raise ValueError("--partition is required for --which fk and unit")
+    try:
+        return tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--partition: expected comma-separated integers, got {spec!r}"
+        ) from None
 
 
 def cmd_formula(args) -> int:
+    if args.which in ("t2r", "cor13", "leading") and (args.n is None or args.r is None):
+        raise ValueError(f"--n and --r are required for --which {args.which}")
     if args.which == "fk":
         res = formulas.eval_f_k(_parse_partition(args.partition), args.k)
     elif args.which == "t2r":
@@ -207,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["coords", "ticks", "closed"], required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--side-sq", help="restrict to this squared side (rational)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -232,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="single value or inclusive a..b")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -249,8 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input is one stderr line and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"regsimplex: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

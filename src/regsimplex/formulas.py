@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb, floor
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lenz import theorem12_partition
 
@@ -33,12 +32,24 @@ def _triangle_term(n_i: int) -> int:
     return (n_i - p_i) // 3 + (p_i - 8 if p_i > 8 else 0)
 
 
-def _elem_sym(values, k: int) -> int:
-    coeffs = [1] + [0] * k
-    for v in values:
-        for j in range(min(k, len(coeffs) - 1), 0, -1):
-            coeffs[j] += coeffs[j - 1] * v
-    return coeffs[k]
+def count_polynomial(
+    sizes: Sequence[int], good_pairs: Sequence[int], k: int
+) -> tuple[int, int]:
+    """The k-th coefficients (e_k, c_k) of prod_i (1 + s_i x) and
+    prod_i (1 + s_i x + g_i x^2), in one O(r*k) pass.
+
+    With s_i the class sizes and g_i their same-circle good-pair counts,
+    e_k counts the mixed simplices with all vertices on distinct circles and
+    c_k all mixed simplices: each circle contributes no vertex, one of its
+    s_i points, or one of its g_i good pairs.
+    """
+    e = [1] + [0] * k
+    c = [1] + [0] * k
+    for s, g in zip(sizes, good_pairs, strict=True):
+        for j in range(k, 0, -1):
+            e[j] += s * e[j - 1]
+            c[j] += s * c[j - 1] + (g * c[j - 2] if j > 1 else 0)
+    return e[k], c[k]
 
 
 def eval_f_k(partition: tuple[int, ...], k: int) -> FormulaResult:
@@ -51,19 +62,11 @@ def eval_f_k(partition: tuple[int, ...], k: int) -> FormulaResult:
         raise ValueError("need r >= k")
     if any(n_i < 0 for n_i in partition):
         raise ValueError("partition entries must be nonnegative")
-    t1 = _elem_sym(partition, k)
-    t2 = 0
-    for ell in range(1, k // 2 + 1):
-        for J in combinations(range(r), ell):
-            prod = 1
-            for j in J:
-                prod *= _good_pair_term(partition[j])
-            if prod == 0:
-                continue
-            rest = [partition[i] for i in range(r) if i not in J]
-            t2 += prod * _elem_sym(rest, k - 2 * ell)
+    t1, mixed = count_polynomial(
+        partition, [_good_pair_term(n_i) for n_i in partition], k
+    )
     t3 = sum(_triangle_term(n_i) for n_i in partition) if k == 3 else 0
-    return FormulaResult(value=t1 + t2 + t3, terms=(t1, t2, t3))
+    return FormulaResult(value=mixed + t3, terms=(t1, mixed - t1, t3))
 
 
 def eval_T2r_closed(n: int, r: int) -> FormulaResult:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from regsimplex.census import (
     CountReport,
@@ -22,6 +23,40 @@ from regsimplex.lenz import (
     build_odd_config,
     embed_config,
 )
+from test_formulas import subset_expansion
+
+
+def pairwise_good_pairs(ticks, N):
+    """Reference: pairs whose tick difference is a quarter turn."""
+    return sum(
+        1 for a, b in combinations(ticks, 2) if tick_chord_class(N, b - a) == "quarter"
+    )
+
+
+def pairwise_triangles(ticks, N):
+    """Reference: triples pairwise a third of a turn apart."""
+    return sum(
+        1
+        for tri in combinations(ticks, 3)
+        if all(tick_chord_class(N, b - a) == "third" for a, b in combinations(tri, 2))
+    )
+
+
+@st.composite
+def tick_sets(draw, max_size=16):
+    """(ticks, N): distinct residues, each shifted by a multiple of N."""
+    N = 12 * draw(st.integers(1, 4))
+    residues = draw(st.sets(st.integers(0, N - 1), max_size=min(N, max_size)))
+    return tuple(t + N * draw(st.integers(-2, 2)) for t in sorted(residues)), N
+
+
+@st.composite
+def tick_configs(draw):
+    comps = tuple(
+        Component("circle", N, ticks)
+        for ticks, N in draw(st.lists(tick_sets(max_size=10), min_size=1, max_size=6))
+    )
+    return CircleConfig(2 * len(comps), Fraction(1), comps)
 
 
 class TestTickChordClass:
@@ -173,6 +208,19 @@ class TestStructuredCounts:
         for workers in (2, 3, 5):
             assert brute_force_structured(config, 3, workers=workers) == serial
 
+    @given(tick_configs(), st.integers(3, 6))
+    def test_matches_subset_expansion(self, config, k):
+        sizes = [c.size for c in config.components]
+        gp = [pairwise_good_pairs(c.ticks, c.modulus) for c in config.components]
+        d1, d2 = subset_expansion(sizes, gp, k)
+        d3 = sum(pairwise_triangles(c.ticks, c.modulus) for c in config.components)
+        d3 = d3 if k == 3 else 0
+        assert count_structured(config, k).to_json() == CountReport(d1, d2, d3).to_json()
+        mixed = count_structured(config, k, side_sq=Fraction(2))
+        assert (mixed.delta1, mixed.delta2, mixed.delta3) == (d1, d2, 0)
+        single = count_structured(config, k, side_sq=Fraction(3))
+        assert (single.delta1, single.delta2, single.delta3) == (0, 0, d3)
+
     def test_enumeration_order_irrelevant(self):
         # permuting circle order permutes nothing in the totals
         base = build_even_config(15, 3, (4, 5, 6))
@@ -188,6 +236,22 @@ class TestPerCircleCounts:
 
     def test_triangles_examples(self):
         assert count_inscribed_triangles(tuple(range(12)), 12) == 4
+
+    @given(tick_sets())
+    def test_match_pairwise_definitions(self, case):
+        ticks, N = case
+        assert count_good_pairs(ticks, N) == pairwise_good_pairs(ticks, N)
+        assert count_inscribed_triangles(ticks, N) == pairwise_triangles(ticks, N)
+
+    def test_out_of_range_ticks_reduce_mod_N(self):
+        assert count_good_pairs((-3, 12, 27), 12) == 2  # {9, 0} and {0, 3}
+        assert count_inscribed_triangles((-8, 12, 32), 12) == 1  # {4, 0, 8}
+
+    def test_bad_modulus(self):
+        with pytest.raises(ValueError):
+            count_good_pairs((), 10)
+        with pytest.raises(ValueError):
+            count_inscribed_triangles((), 10)
 
     @pytest.mark.parametrize("N", [12, 24])
     def test_good_pair_upper_bound_exhaustive_small(self, N):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +129,55 @@ class TestHypergraphCommand:
         assert blown["n"] == 20 and len(blown["edges"]) == 48
         _, out = run(capsys, "hypergraph", "--contains", str(b_path), str(h_path))
         assert json.loads(out)["contains"] is True
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maximize", "--n", "20", "--r", "3", "--window", "-1"],
+            ["formula", "--which", "fk", "--k", "4", "--partition", "5,5,5"],
+            ["formula", "--which", "fk"],
+            ["formula", "--which", "fk", "--partition", "5,x,5"],
+            ["formula", "--which", "cor13"],
+            ["verify", "--n", "3..x", "--r", "3"],
+            ["verify", "--n", "10..3", "--r", "3"],
+        ],
+    )
+    def test_one_line_error(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("regsimplex: error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_empty_range_names_the_range(self, capsys):
+        assert main(["verify", "--n", "10..3", "--r", "3"]) == 2
+        assert "empty range '10..3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, command, workers):
+        if command == "count":
+            argv = ["count", "--in", str(tmp_path / "c.json"), "--method", "ticks"]
+        else:
+            argv = ["verify", "--n", "5", "--r", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+
+    def test_process_exit_code(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "regsimplex.cli", "formula", "--which", "fk"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "regsimplex: error: --partition is required for --which fk and unit\n"
+        )

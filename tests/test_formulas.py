@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from regsimplex.census import count_structured
 from regsimplex.formulas import (
     asymptotic_leading,
+    count_polynomial,
     eval_T2r_closed,
     eval_corollary13,
     eval_f_k,
@@ -13,6 +16,75 @@ from regsimplex.formulas import (
     maximize_f_k,
 )
 from regsimplex.lenz import build_even_config, theorem12_partition
+
+
+def elem_sym(values, k):
+    """Reference e_k of the values."""
+    coeffs = [1] + [0] * k
+    for v in values:
+        for j in range(k, 0, -1):
+            coeffs[j] += coeffs[j - 1] * v
+    return coeffs[k]
+
+
+def subset_expansion(sizes, good_pairs, k):
+    """Reference mixed count (delta1, delta2) by the J-subset expansion.
+
+    delta1 is e_k of the sizes; delta2 sums, over every nonempty set J of
+    circles that each contribute a good pair, the product of their good-pair
+    counts times e_{k-2|J|} of the other sizes.  Exponential in r.
+    """
+    r = len(sizes)
+    d2 = 0
+    for ell in range(1, k // 2 + 1):
+        for J in combinations(range(r), ell):
+            prod = 1
+            for j in J:
+                prod *= good_pairs[j]
+            rest = [sizes[i] for i in range(r) if i not in J]
+            d2 += prod * elem_sym(rest, k - 2 * ell)
+    return elem_sym(sizes, k), d2
+
+
+def reference_f_k(partition, k):
+    """Reference (t1, t2, t3) of f_k, independent of count_polynomial."""
+    gp = [n_i - (1 if n_i % 4 else 0) for n_i in partition]
+    t1, t2 = subset_expansion(partition, gp, k)
+    t3 = 0
+    if k == 3:
+        for n_i in partition:
+            p = n_i % 12
+            t3 += (n_i - p) // 3 + (p - 8 if p > 8 else 0)
+    return t1, t2, t3
+
+
+@st.composite
+def partitions_and_k(draw):
+    r = draw(st.integers(3, 10))
+    k = draw(st.integers(3, min(r, 8)))
+    return tuple(draw(st.lists(st.integers(0, 40), min_size=r, max_size=r))), k
+
+
+class TestCountPolynomial:
+    def test_examples(self):
+        # (1 + 2x)(1 + 3x) = 1 + 5x + 6x^2; adding g x^2 terms 4 and 5
+        assert count_polynomial((2, 3), (4, 5), 2) == (6, 15)
+        assert count_polynomial((2, 3), (4, 5), 4) == (0, 20)
+        assert count_polynomial((), (), 0) == (1, 1)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            count_polynomial((1, 2, 3), (0, 0), 2)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=10),
+        st.integers(0, 8),
+    )
+    def test_matches_subset_expansion(self, classes, k):
+        sizes = [s for s, _ in classes]
+        gp = [g for _, g in classes]
+        d1, d2 = subset_expansion(sizes, gp, k)
+        assert count_polynomial(sizes, gp, k) == (d1, d1 + d2)
 
 
 class TestEvalFk:
@@ -29,6 +101,13 @@ class TestEvalFk:
     def test_r_less_than_k_rejected(self):
         with pytest.raises(ValueError):
             eval_f_k((5, 5, 5), 4)
+
+    @given(partitions_and_k())
+    def test_terms_match_subset_expansion(self, case):
+        partition, k = case
+        res = eval_f_k(partition, k)
+        assert res.terms == reference_f_k(partition, k)
+        assert res.value == sum(res.terms)
 
     @pytest.mark.parametrize(
         "partition,k",
