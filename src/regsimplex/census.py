@@ -12,7 +12,7 @@ side 2*radius_sq, single-circle triangles 3*radius_sq.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -179,18 +179,21 @@ def brute_force_structured(
 ) -> CountReport:
     """Exhaustive k-subset census over a structured configuration.
 
-    The enumeration space may be split across worker processes; per-chunk
-    counts are summed in fixed chunk order, so the result is independent of
-    scheduling.
+    The enumeration space may be split across worker processes, at most one
+    per CPU; per-chunk counts are summed in fixed chunk order, so the result
+    is independent of scheduling.
     """
     if k < 3:
         raise ValueError("need k >= 3")
+    workers = min(workers, os.cpu_count() or 1)
     allow_mixed, allow_single = _side_modes(config, side_sq)
     n = config.n
     indices = list(range(n))
     if workers <= 1 or n < 2 * workers:
         d1, d2, d3 = _count_chunk((config, k, indices, allow_mixed, allow_single))
     else:
+        import multiprocessing  # imported here so serial runs do not load it
+
         chunks = [indices[w::workers] for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(

@@ -1,7 +1,7 @@
 """Closed-form counting functions and their maximization.
 
 The partition-indexed count realized by the orthogonal-circle construction,
-its maximum over near-balanced partitions, the compact value at nice
+its exact maximum over all partitions, the compact value at nice
 divisibility, the unit-side variant, and the asymptotic leading term.
 """
 
@@ -20,7 +20,6 @@ class FormulaResult:
     value: int
     argmax: Optional[tuple[tuple[int, ...], ...]] = None
     terms: Optional[tuple[int, int, int]] = None
-    boundary_touched: Optional[bool] = None
 
 
 def _good_pair_term(n_i: int) -> int:
@@ -120,34 +119,48 @@ def _nondecreasing_vectors(n: int, r: int, lo: int, hi: int):
     yield from rec(n, r, lo)
 
 
-def maximize_f_k(n: int, r: int, k: int, window: int = 6) -> FormulaResult:
-    """Exhaustive maximization over near-balanced partitions.
+def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
+    """The maximum of f_k over all partitions of n into r classes, with the
+    full tie set as nondecreasing vectors.
 
-    Searches nondecreasing vectors with |n_i - n/r| <= window and reports
-    the full tie set.  boundary_touched flags a maximizer with an entry at
-    |n_i - n/r| >= window, in which case the caller should re-run with a
-    wider window.
+    Every maximizer has spread max - min <= 4, so all its entries lie within
+    4 of n/r, and only that fixed set of vectors is enumerated.
+
+    Exchange lemma.  Let v have spread D = b - a >= 5, where a = min(v) and
+    b = max(v), and let v' move 4 points from the b-class to the a-class.
+    The sum is kept, and so is each size mod 4; with eps_s = [4 does not
+    divide s] the good-pair term is g(s) = s - eps_s.  The coefficients of
+    the pair factor (1 + a x + g_a x^2)(1 + b x + g_b x^2) change by
+
+        degree 1:  0,
+        degree 2:  4D - 16                        >= 4,
+        degree 3:  8D - 32 - 4(eps_b - eps_a)     >= 4,
+        degree 4:  4D - 16 - 4(eps_b - eps_a)     >= 0.
+
+    The other r - 2 classes give a factor with coefficients R_j >= 0, so
+    f_k(v') - f_k(v) >= 4 R_{k-2} + 4 R_{k-3} for k >= 4.  For k = 3 it is
+    (4D - 16) R_1 plus the degree-3 change plus the change of the triangle
+    terms, and the last two sum to >= 3: the triangle change depends only
+    on a and b mod 12, and at fixed residues the degree-3 change grows by
+    96 per 12 of D, so the cases a < 12, 5 <= D < 17 prove it (tests check
+    them).
+    Hence f_k(v') > f_k(v) unless k >= 4 and R_{k-3} = 0.  In that case
+    fewer than k - 3 of the other r - 2 >= k - 2 classes are nonempty, so
+    two are empty, a = 0 and g_a = 0: the pair factor is 1 + b x + g_b x^2
+    and every R_j with j >= k - 2 vanishes, so f_k(v) = 0.  But n >= k
+    lets k classes be nonempty, giving f_k >= 1.  Either way v is not a
+    maximizer.  Below n = k every partition has f_k = 0 and ties.
     """
     if not r >= k >= 3:
         raise ValueError("need r >= k >= 3")
-    if window < 0:
-        raise ValueError("window must be nonnegative")
+    if n < k:
+        raise ValueError("need n >= k")
     base = Fraction(n, r)
-    lo = max(0, ceil(base - window))
-    hi = floor(base + window)
-    best: Optional[int] = None
-    argmax: list[tuple[int, ...]] = []
-    for vec in _nondecreasing_vectors(n, r, lo, hi):
+    best, argmax = -1, []
+    for vec in _nondecreasing_vectors(n, r, max(0, ceil(base - 4)), floor(base + 4)):
         value = eval_f_k(vec, k).value
-        if best is None or value > best:
+        if value > best:
             best, argmax = value, [vec]
         elif value == best:
             argmax.append(vec)
-    if best is None:
-        raise ValueError("empty search space; widen the window")
-    touched = any(
-        abs(v - base) >= window for vec in argmax for v in (vec[0], vec[-1])
-    )
-    return FormulaResult(
-        value=best, argmax=tuple(argmax), boundary_touched=touched
-    )
+    return FormulaResult(value=best, argmax=tuple(argmax))

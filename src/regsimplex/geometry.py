@@ -199,25 +199,3 @@ def circumcenter(P: PointSet) -> Point:
         coords = [c + tj * bc for c, bc in zip(coords, bj)]
     return Point(tuple(coords))
 
-
-def float_view(P: PointSet, precision: int = 6) -> list[tuple[float, ...]]:
-    """Decimal approximations for eyeballing only; never used in predicates."""
-    return [
-        tuple(round(float(c), precision) for c in p.coords) for p in P.points
-    ]
-
-
-def pointset_to_json(P: PointSet) -> dict:
-    return {
-        "dim": P.dim,
-        "points": [[str(c) for c in p.coords] for p in P.points],
-    }
-
-
-def pointset_from_json(obj: dict) -> PointSet:
-    return PointSet(
-        dim=obj["dim"],
-        points=tuple(
-            Point(tuple(Quad3.from_str(s) for s in row)) for row in obj["points"]
-        ),
-    )

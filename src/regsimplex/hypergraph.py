@@ -44,9 +44,11 @@ class Hypergraph:
 
     @staticmethod
     def from_json(obj: dict) -> "Hypergraph":
-        return Hypergraph(
-            obj["n"], obj["k"], frozenset(frozenset(e) for e in obj["edges"])
-        )
+        try:
+            n, k, edges = obj["n"], obj["k"], obj["edges"]
+        except KeyError as exc:
+            raise ValueError(f"hypergraph JSON: missing key {exc.args[0]!r}") from None
+        return Hypergraph(n, k, frozenset(frozenset(e) for e in edges))
 
 
 def build_simplex_hypergraph(

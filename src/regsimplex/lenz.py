@@ -34,14 +34,19 @@ class Component:
     def __post_init__(self):
         if self.kind not in ("circle", "sphere2"):
             raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.modulus % 12 != 0:
-            raise ValueError("modulus must be divisible by 12")
+        if self.modulus <= 0 or self.modulus % 12 != 0:
+            raise ValueError("modulus must be a positive multiple of 12")
         if len(set(t % self.modulus for t in self.ticks)) != len(self.ticks):
             raise ValueError("ticks must be distinct modulo the modulus")
 
     @property
     def size(self) -> int:
         return len(self.ticks)
+
+    @property
+    def width(self) -> int:
+        """Ambient coordinates occupied: 2 for a circle, 3 for a 2-sphere."""
+        return 3 if self.kind == "sphere2" else 2
 
 
 @dataclass(frozen=True)
@@ -160,8 +165,7 @@ def embed_config(config: CircleConfig) -> PointSet:
     pts = []
     coord = 0
     for comp in config.components:
-        width = 3 if comp.kind == "sphere2" else 2
-        if coord + width > config.ambient_dim:
+        if coord + comp.width > config.ambient_dim:
             raise ValueError("components exceed ambient dimension")
         for t in comp.ticks:
             if (12 * t) % comp.modulus != 0:
@@ -173,7 +177,7 @@ def embed_config(config: CircleConfig) -> PointSet:
             coords[coord] = cos30_table(step)
             coords[coord + 1] = sin30_table(step)
             pts.append(Point(tuple(coords)))
-        coord += width
+        coord += comp.width
     if config.radius_sq != 1:
         raise ValueError("embedding assumes unit radius")
     return PointSet(dim=config.ambient_dim, points=tuple(pts))
@@ -191,11 +195,35 @@ def config_to_json(config: CircleConfig) -> dict:
 
 
 def config_from_json(obj: dict) -> CircleConfig:
-    return CircleConfig(
-        ambient_dim=obj["ambient_dim"],
-        radius_sq=rational_from_str(obj["radius_sq"]),
-        components=tuple(
+    """Parse and validate a configuration; bad input raises ValueError.
+
+    Ticks must lie in [0, N), the components must fit in ambient_dim, only
+    the last component may be a 2-sphere, and radius_sq must be positive.
+    """
+    try:
+        ambient_dim = obj["ambient_dim"]
+        radius_sq = rational_from_str(obj["radius_sq"])
+        components = tuple(
             Component(c["kind"], c["modulus"], tuple(c["ticks"]))
             for c in obj["components"]
-        ),
-    )
+        )
+    except KeyError as exc:
+        raise ValueError(f"config JSON: missing key {exc.args[0]!r}") from None
+    if radius_sq <= 0:
+        raise ValueError("config JSON: radius_sq must be positive")
+    for i, c in enumerate(components):
+        if c.kind == "sphere2" and i != len(components) - 1:
+            raise ValueError(
+                "config JSON: only the last component may be a sphere2"
+            )
+        if not all(0 <= t < c.modulus for t in c.ticks):
+            raise ValueError(
+                f"config JSON: component {i} has a tick outside [0, {c.modulus})"
+            )
+    width = sum(c.width for c in components)
+    if width > ambient_dim:
+        raise ValueError(
+            f"config JSON: components need {width} coordinates, "
+            f"ambient_dim is {ambient_dim}"
+        )
+    return CircleConfig(ambient_dim, radius_sq, components)

@@ -91,14 +91,11 @@ def _has_gap_parity_structure(vec: tuple[int, ...]) -> bool:
 def test_criterion_03_maximizer_structure():
     # The paper fixes S^3_d(n) exactly only for "sufficiently large n"
     # (PAPER.md) and the abstract gives no threshold.  The threshold
-    # n >= 4r - 1 is measured: with maximize_f_k(window=6) the last tied
+    # n >= 4r - 1 is measured: with the exact maximize_f_k the last tied
     # maximizer breaking the gap/parity structure falls at n = 4r - 2 for
-    # r = 3..7 (checked to n = 120 for r <= 5 and to n = 90 for r = 6, 7, the
-    # window boundary never touched), and a window-free DP over all
-    # partitions gives the same for r = 3..6 up to n = 240 (ROADMAP.md,
-    # item 3).  Below the threshold each maximizer must instead be a
-    # genuine tie: both brute-force oracles, on ticks and on exact
-    # coordinates, must count exactly the maximum value for it.
+    # r = 3..7 (checked to n = 240).  Below the threshold each maximizer
+    # must instead be a genuine tie: both brute-force oracles, on ticks and
+    # on exact coordinates, must count exactly the maximum value for it.
     with criterion(
         3, "case-analysis partition maximizes; tie-set structure (n >= 4r-1)"
     ):
@@ -107,10 +104,9 @@ def test_criterion_03_maximizer_structure():
         for r in (3, 4, 5):
             n_structure = 4 * r - 1
             for n in range(r, 61):
-                res = maximize_f_k(n, r, 3, window=6)
+                res = maximize_f_k(n, r, 3)
                 expected = tuple(sorted(theorem12_partition(n, r)))
                 assert expected in res.argmax, (n, r, res.argmax)
-                assert not res.boundary_touched, (n, r)
                 for vec in res.argmax:
                     if n >= n_structure:
                         if not _has_gap_parity_structure(vec):

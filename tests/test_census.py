@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -157,6 +159,35 @@ class TestStructuredCounts:
         report = count_structured(config, 3)
         assert report.total == 524
         assert report == brute_force_structured(config, 3)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # A serial stand-in for the pool records the requested process
+        # count, so no large worker count ever starts a process.
+        requested = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        config = build_even_config(20, 3, (6, 6, 8))
+        serial = brute_force_structured(config, 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for workers in (2, 3, 4, 10**6):
+            assert brute_force_structured(config, 3, workers=workers) == serial
+        assert requested == [2, 3, 3, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert brute_force_structured(config, 3, workers=10**6) == serial
+        assert requested == [2, 3, 3, 3]
 
     @pytest.mark.parametrize(
         "config,k",

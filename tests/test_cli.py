@@ -131,11 +131,22 @@ class TestHypergraphCommand:
         assert json.loads(out)["contains"] is True
 
 
+def assert_one_line_error(capsys, argv) -> str:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("regsimplex: error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["maximize", "--n", "20", "--r", "3", "--window", "-1"],
+            ["maximize", "--n", "2", "--r", "3"],
             ["formula", "--which", "fk", "--k", "4", "--partition", "5,5,5"],
             ["formula", "--which", "fk"],
             ["formula", "--which", "fk", "--partition", "5,x,5"],
@@ -145,13 +156,38 @@ class TestBadInput:
         ],
     )
     def test_one_line_error(self, capsys, argv):
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err.startswith("regsimplex: error: ")
-        assert len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        assert_one_line_error(capsys, argv)
+
+    @pytest.fixture
+    def config_json(self, tmp_path):
+        path = tmp_path / "config.json"
+        main(["generate", "--n", "6", "--r", "3", "--out", str(path)])
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("method", ["closed", "ticks", "coords"])
+    def test_invalid_config_rejected(self, tmp_path, capsys, config_json, method):
+        config_json["ambient_dim"] = 2
+        config_json["components"][0]["ticks"][0] = -1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config_json))
+        assert_one_line_error(capsys, ["count", "--in", str(path), "--method", method])
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        argv = ["count", "--in", str(tmp_path / "absent.json"), "--method", "closed"]
+        assert "No such file" in assert_one_line_error(capsys, argv)
+
+    def test_config_missing_key(self, tmp_path, capsys, config_json):
+        del config_json["radius_sq"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config_json))
+        argv = ["count", "--in", str(path), "--method", "closed"]
+        assert "missing key 'radius_sq'" in assert_one_line_error(capsys, argv)
+
+    def test_hypergraph_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 3, "k": 3}))
+        argv = ["hypergraph", "--blowup", "2", "--in", str(path)]
+        assert "missing key 'edges'" in assert_one_line_error(capsys, argv)
 
     def test_empty_range_names_the_range(self, capsys):
         assert main(["verify", "--n", "10..3", "--r", "3"]) == 2

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from regsimplex.census import count_structured
 from regsimplex.formulas import (
+    _good_pair_term,
+    _triangle_term,
     asymptotic_leading,
     count_polynomial,
     eval_T2r_closed,
@@ -56,6 +58,25 @@ def reference_f_k(partition, k):
             p = n_i % 12
             t3 += (n_i - p) // 3 + (p - 8 if p > 8 else 0)
     return t1, t2, t3
+
+
+def all_partitions(n, r, lo=0):
+    """Reference enumeration: every nondecreasing length-r vector of
+    integers >= lo summing to n."""
+    if r == 1:
+        if n >= lo:
+            yield (n,)
+        return
+    for v in range(lo, n // r + 1):
+        for rest in all_partitions(n - v, r - 1, v):
+            yield (v,) + rest
+
+
+def exhaustive_maximum(n, r, k):
+    """Reference (value, tie set) of f_k over all partitions of n."""
+    values = {vec: eval_f_k(vec, k).value for vec in all_partitions(n, r)}
+    best = max(values.values())
+    return best, tuple(sorted(vec for vec, v in values.items() if v == best))
 
 
 @st.composite
@@ -155,26 +176,29 @@ class TestCorollary13:
 
 class TestMaximize:
     def test_small_cases(self):
-        res = maximize_f_k(20, 3, 3, 6)
+        res = maximize_f_k(20, 3, 3)
         assert res.value == 524 and (6, 6, 8) in res.argmax
-        res = maximize_f_k(36, 3, 3, 6)
+        res = maximize_f_k(36, 3, 3)
         assert res.value == 2604 and res.argmax == ((12, 12, 12),)
 
-    def test_window_zero_forces_balance(self):
-        res = maximize_f_k(16, 4, 4, 0)
-        assert res.argmax == ((4, 4, 4, 4),)
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_matches_exhaustive_search(self, r):
+        for k in range(3, r + 1):
+            for n in range(k, 25):
+                res = maximize_f_k(n, r, k)
+                assert (res.value, res.argmax) == exhaustive_maximum(n, r, k), (n, r, k)
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            maximize_f_k(17, 4, 4, 0)
+    def test_needs_n_at_least_k(self):
+        with pytest.raises(ValueError, match="need n >= k"):
+            maximize_f_k(3, 4, 4)
+        assert maximize_f_k(4, 4, 4).value == 1
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_closed_form_is_max(self, r):
         for n in range(r, 61):
-            res = maximize_f_k(n, r, 3, 6)
+            res = maximize_f_k(n, r, 3)
             assert res.value == eval_T2r_closed(n, r).value
             assert tuple(sorted(theorem12_partition(n, r))) in res.argmax
-            assert not res.boundary_touched
 
     def test_gap_shift_increases_value(self):
         # moving two units from a much larger class to a smaller one helps
@@ -188,6 +212,60 @@ class TestMaximize:
             before = eval_f_k((n1, n2, *rest), 3).value
             after = eval_f_k((n1 - 2, n2 + 2, *rest), 3).value
             assert after > before
+
+
+def pair_coefficients(a, b):
+    """Degrees 1..4 of (1 + a x + g_a x^2)(1 + b x + g_b x^2), then the
+    pair's triangle terms."""
+    ga, gb = _good_pair_term(a), _good_pair_term(b)
+    return (a + b, a * b + ga + gb, a * gb + b * ga, ga * gb,
+            _triangle_term(a) + _triangle_term(b))
+
+
+def move_deltas(a, D):
+    """Change of pair_coefficients when 4 points move from b = a + D to a."""
+    before = pair_coefficients(a, a + D)
+    after = pair_coefficients(a + 4, a + D - 4)
+    return tuple(y - x for x, y in zip(before, after))
+
+
+@st.composite
+def spread_vectors(draw):
+    """(vector with spread >= 5 sorted ascending, k)."""
+    r = draw(st.integers(3, 7))
+    k = draw(st.integers(3, r))
+    vec = sorted(draw(st.lists(st.integers(0, 30), min_size=r, max_size=r)))
+    vec[-1] = max(vec[-1], vec[0] + 5 + draw(st.integers(0, 20)))
+    return tuple(vec), k
+
+
+class TestExchangeLemma:
+    """The exchange lemma behind maximize_f_k's spread bound."""
+
+    def test_residue_cases(self):
+        for a in range(12):
+            for D in range(5, 17):
+                d1, d2, d3, d4, dt = move_deltas(a, D)
+                assert d1 == 0 and d2 >= 4 and d3 >= 4 and d4 >= 0, (a, D)
+                assert d3 + dt >= 3, (a, D)
+
+    def test_residue_cases_stand_for_all(self):
+        # At fixed residues mod 12 the deltas do not depend on a and grow
+        # linearly in D (degree 2 and 4 by 48, degree 3 by 96 per 12), so the
+        # cases a < 12, 5 <= D < 17 decide every a >= 0, D >= 5.
+        for a in range(60):
+            for D in range(5, 60):
+                steps, rem = divmod(D - 5, 12)
+                d1, d2, d3, d4, dt = move_deltas(a % 12, 5 + rem)
+                expected = (d1, d2 + 48 * steps, d3 + 96 * steps, d4 + 48 * steps, dt)
+                assert move_deltas(a, D) == expected, (a, D)
+
+    @given(spread_vectors())
+    def test_move_raises_f_k_unless_zero(self, vec_k):
+        vec, k = vec_k
+        moved = (vec[0] + 4,) + vec[1:-1] + (vec[-1] - 4,)
+        before = eval_f_k(vec, k).value
+        assert eval_f_k(moved, k).value > before or (before == 0 and vec[0] == 0)
 
 
 class TestUnitTriangle:

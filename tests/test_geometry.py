@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,10 +8,7 @@ from regsimplex.geometry import (
     affine_span_dim,
     arrow_relation,
     circumcenter,
-    float_view,
     is_regular_simplex,
-    pointset_from_json,
-    pointset_to_json,
     sq_dist,
     spans_orthogonal,
 )
@@ -208,22 +203,3 @@ class TestLemmaSuite:
             for j in range(i + 1, 3):
                 assert spans_orthogonal(groups[i], groups[j])
 
-
-class TestFloatView:
-    def test_values(self):
-        P = PointSet(2, (pt(0, 0), dodecagon_vertex(1)))
-        view = float_view(P, precision=6)
-        assert view[0] == (0.0, 0.0)
-        assert view[1] == (0.866025, 0.5)
-
-    def test_quad_values(self):
-        P = PointSet(1, (Point((Quad3.of(2, -1),)),))
-        assert float_view(P)[0][0] == 0.267949
-        P = PointSet(1, (Point((Quad3.of(0, 1),)),))
-        assert float_view(P)[0][0] == 1.732051
-
-
-class TestJson:
-    def test_round_trip(self):
-        P = PointSet(2, (pt(0, 0), dodecagon_vertex(1), pt(Fraction(1, 2), 3)))
-        assert pointset_from_json(pointset_to_json(P)) == P

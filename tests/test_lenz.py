@@ -147,3 +147,54 @@ class TestJsonRoundTrip:
     )
     def test_round_trip(self, config):
         assert config_from_json(config_to_json(config)) == config
+
+
+class TestConfigValidation:
+    @pytest.fixture
+    def obj(self):
+        # circles of 4 and 3 points, then a 2-sphere of 3: widths 2 + 2 + 3
+        return config_to_json(build_odd_config(10, 3))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_tick_outside_range(self, obj, shift):
+        comp = obj["components"][1]
+        comp["ticks"][0] += shift * comp["modulus"]
+        with pytest.raises(ValueError, match=r"component 1 has a tick outside \[0, 12\)"):
+            config_from_json(obj)
+
+    def test_components_exceed_ambient_dim(self, obj):
+        obj["ambient_dim"] = 6
+        with pytest.raises(ValueError, match="need 7 coordinates, ambient_dim is 6"):
+            config_from_json(obj)
+
+    def test_sphere_not_last(self, obj):
+        obj["components"].reverse()
+        with pytest.raises(ValueError, match="only the last component"):
+            config_from_json(obj)
+
+    @pytest.mark.parametrize("radius_sq", ["0", "-1/2"])
+    def test_nonpositive_radius(self, obj, radius_sq):
+        obj["radius_sq"] = radius_sq
+        with pytest.raises(ValueError, match="radius_sq must be positive"):
+            config_from_json(obj)
+
+    @pytest.mark.parametrize("modulus", [0, -12])
+    def test_nonpositive_modulus(self, obj, modulus):
+        obj["components"][0]["modulus"] = modulus
+        with pytest.raises(ValueError, match="positive multiple of 12"):
+            config_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["ambient_dim", "radius_sq", "components"])
+    def test_missing_key(self, obj, key):
+        del obj[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            config_from_json(obj)
+
+    def test_missing_component_key(self, obj):
+        del obj["components"][2]["ticks"]
+        with pytest.raises(ValueError, match="missing key 'ticks'"):
+            config_from_json(obj)
+
+    def test_larger_ambient_dim_accepted(self, obj):
+        obj["ambient_dim"] = 9
+        assert config_from_json(obj).ambient_dim == 9
