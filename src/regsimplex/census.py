@@ -1,7 +1,7 @@
 """Simplex censuses, three ways.
 
 * coordinate brute force over an exact embedding,
-* tick-arithmetic brute force over a structured configuration,
+* a k-clique count over the tick arithmetic of a structured configuration,
 * the closed-form structured count by simplex type.
 
 Type breakdown by circle multiplicity: delta1 has all vertices on distinct
@@ -12,7 +12,6 @@ side 2*radius_sq, single-circle triangles 3*radius_sq.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -131,18 +130,6 @@ def is_structured_simplex(
     return True
 
 
-def _classify(selection: Sequence[tuple[int, int]]) -> str:
-    mult: dict[int, int] = {}
-    for ci, _ in selection:
-        mult[ci] = mult.get(ci, 0) + 1
-    worst = max(mult.values())
-    if worst == 1:
-        return "delta1"
-    if worst == 2:
-        return "delta2"
-    return "delta3"
-
-
 def _side_modes(config: CircleConfig, side_sq: Optional[Fraction]):
     """Which simplex families a side filter admits: (mixed, single_circle)."""
     if side_sq is None:
@@ -150,59 +137,120 @@ def _side_modes(config: CircleConfig, side_sq: Optional[Fraction]):
     return side_sq == 2 * config.radius_sq, side_sq == 3 * config.radius_sq
 
 
-def _count_chunk(args) -> tuple[int, int, int]:
-    config, k, first_indices, allow_mixed, allow_single = args
-    points = config.labeled_points()
-    d1 = d2 = d3 = 0
-    for i in first_indices:
-        for rest in combinations(range(i + 1, len(points)), k - 1):
-            sel = [points[i]] + [points[j] for j in rest]
-            if not is_structured_simplex(config, sel):
-                continue
-            kind = _classify(sel)
-            if kind == "delta3":
-                if allow_single:
-                    d3 += 1
-            elif allow_mixed:
-                if kind == "delta1":
-                    d1 += 1
+def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]:
+    """Two graphs on the labeled points as int bitsets, plus circle masks.
+
+    Row i of each graph holds only the neighbors with a larger index.  The
+    compatible-pair graph joins points on different circles, and points on
+    one circle a quarter turn apart; the third-turn graph joins points on
+    one circle a third of a turn apart.  circle[i] has a bit for every
+    point on the circle of point i.
+    """
+    compatible: list[int] = []
+    thirds: list[int] = []
+    circle: list[int] = []
+    n = config.n
+    start = 0
+    for comp in config.components:
+        end = start + comp.size
+        later_circles = ((1 << n) - 1) ^ ((1 << end) - 1)
+        mask = ((1 << end) - 1) ^ ((1 << start) - 1)
+        for a, t in enumerate(comp.ticks):
+            quarter = third = 0
+            for b in range(a + 1, comp.size):
+                kind = tick_chord_class(comp.modulus, comp.ticks[b] - t)
+                if kind == QUARTER:
+                    quarter |= 1 << (start + b)
+                elif kind == THIRD:
+                    third |= 1 << (start + b)
+            compatible.append(later_circles | quarter)
+            thirds.append(third)
+            circle.append(mask)
+        start = end
+    return compatible, thirds, circle
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _clique_frontiers(graph: list[int], circle: list[int], k: int):
+    """Walk the k-cliques of graph in index order, one level short.
+
+    Yields (prefix, ext, used, paired) for every (k-1)-clique prefix that
+    extends at all.  ext is the bitset of common neighbors above the
+    prefix; each of its bits completes one k-clique.  used is the union of
+    the prefix's circle masks, and paired says whether two prefix points
+    share a circle.
+    """
+    last = k - 2
+
+    def extend(prefix, cand, used, paired):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            ext = cand & graph[v]
+            if ext:
+                state = (
+                    prefix + (v,), ext, used | circle[v], paired or bool(used & low)
+                )
+                if len(prefix) == last:
+                    yield state
                 else:
-                    d2 += 1
-    return d1, d2, d3
+                    yield from extend(*state)
+
+    return extend((), (1 << len(graph)) - 1, 0, False)
+
+
+def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
+    """Every structured regular simplex, as ascending indices into
+    config.labeled_points(): the k-cliques of the compatible-pair graph
+    and, for k = 3, the triangles of the third-turn graph."""
+    if k < 3:
+        raise ValueError("need k >= 3")
+    compatible, thirds, circle = _pair_graphs(config)
+    graphs = (compatible, thirds) if k == 3 else (compatible,)
+    return [
+        prefix + (w,)
+        for graph in graphs
+        for prefix, ext, _, _ in _clique_frontiers(graph, circle, k)
+        for w in _bits(ext)
+    ]
 
 
 def brute_force_structured(
-    config: CircleConfig,
-    k: int,
-    side_sq: Optional[Fraction] = None,
-    workers: int = 1,
+    config: CircleConfig, k: int, side_sq: Optional[Fraction] = None
 ) -> CountReport:
-    """Exhaustive k-subset census over a structured configuration.
+    """Tick census by clique counting, independent of the closed form.
 
-    The enumeration space may be split across worker processes, at most one
-    per CPU; per-chunk counts are summed in fixed chunk order, so the result
-    is independent of scheduling.
+    Three points on one circle are never pairwise a quarter turn apart, so
+    the k-cliques of the compatible-pair graph (see _pair_graphs) are
+    exactly the mixed simplices; for k = 3 the triangles of the third-turn
+    graph are the single-circle ones.  The walk stops one level short and
+    adds popcounts: a completing point makes the simplex delta2 when the
+    prefix already has a same-circle pair or the point lies on a circle the
+    prefix uses, and delta1 otherwise.
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    workers = min(workers, os.cpu_count() or 1)
     allow_mixed, allow_single = _side_modes(config, side_sq)
-    n = config.n
-    indices = list(range(n))
-    if workers <= 1 or n < 2 * workers:
-        d1, d2, d3 = _count_chunk((config, k, indices, allow_mixed, allow_single))
-    else:
-        import multiprocessing  # imported here so serial runs do not load it
-
-        chunks = [indices[w::workers] for w in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(
-                _count_chunk,
-                [(config, k, ch, allow_mixed, allow_single) for ch in chunks],
-            )
-        d1 = sum(p[0] for p in parts)
-        d2 = sum(p[1] for p in parts)
-        d3 = sum(p[2] for p in parts)
+    compatible, thirds, circle = _pair_graphs(config)
+    d1 = d2 = d3 = 0
+    if allow_mixed:
+        for _, ext, used, paired in _clique_frontiers(compatible, circle, k):
+            hits = ext.bit_count()
+            same = hits if paired else (ext & used).bit_count()
+            d1 += hits - same
+            d2 += same
+    if k == 3 and allow_single:
+        d3 = sum(
+            ext.bit_count() for _, ext, _, _ in _clique_frontiers(thirds, circle, 3)
+        )
     return CountReport(d1, d2, d3, side_length_sq=side_sq)
 
 

@@ -2,7 +2,7 @@
 cross-validate the counting routes, and emit JSON/CSV reports.
 
 Output is deterministic: JSON with sorted keys, ticks ascending, LF line
-endings, and parallel censuses reduce to the same bytes as serial ones.
+endings, and the same bytes whatever --workers says.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ def _parse_range(spec: str) -> range:
     if not values:
         raise ValueError(f"--n: empty range {spec!r}")
     return values
+
+
+# The tick census is a serial clique count, faster than starting a process
+# pool, so --workers has nothing to set.  It stays, still checked, because
+# existing command lines (the benchmark's verify-ticks items among them) pass
+# it, and reports must stay byte-identical across worker counts.
+_WORKERS_HELP = "accepted for compatibility and ignored; must be at least 1"
 
 
 def _positive_int(spec: str) -> int:
@@ -71,9 +78,7 @@ def cmd_count(args) -> int:
     if args.method == "closed":
         report = census.count_structured(config, args.k, side_sq=side_sq)
     elif args.method == "ticks":
-        report = census.brute_force_structured(
-            config, args.k, side_sq=side_sq, workers=args.workers
-        )
+        report = census.brute_force_structured(config, args.k, side_sq=side_sq)
     else:  # coords
         pts = lenz.embed_config(config)
         from .exactnum import Quad3
@@ -143,14 +148,17 @@ def cmd_maximize(args) -> int:
 
 
 def run_verify(n_range, r: int, k: int, workers: int = 1):
-    """Cross-validate all counting routes for each n; returns (ok, report)."""
+    """Cross-validate all counting routes for each n; returns (ok, report).
+
+    workers is accepted and ignored (see _WORKERS_HELP).
+    """
     lines = []
     ok = True
     for n in n_range:
         partition = _choose_partition(n, r, k)
         config = lenz.build_even_config(n, r, partition)
         closed = census.count_structured(config, k)
-        ticks = census.brute_force_structured(config, k, workers=workers)
+        ticks = census.brute_force_structured(config, k)
         formula = formulas.eval_f_k(partition, k).value
         values = {"closed": closed.total, "ticks": ticks.total, "formula": formula}
         if closed.to_json() != ticks.to_json():
@@ -174,9 +182,14 @@ def run_verify(n_range, r: int, k: int, workers: int = 1):
 
 
 def cmd_verify(args) -> int:
-    ok, report = run_verify(_parse_range(args.n), args.r, args.k, args.workers)
-    _emit(report, args.out)
-    return 0 if ok else 1
+    """One report block per --r value, in the order given."""
+    n_range = _parse_range(args.n)
+    for r in args.r:
+        if r < args.k:
+            raise ValueError(f"--r {r}: need r >= k = {args.k}")
+    results = [run_verify(n_range, r, args.k) for r in args.r]
+    _emit("".join(report for _, report in results), args.out)
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def cmd_hypergraph(args) -> int:
@@ -224,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["coords", "ticks", "closed"], required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--side-sq", help="restrict to this squared side (rational)")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -246,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-validate counting routes")
     p.add_argument("--n", required=True, help="single value or inclusive a..b")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, nargs="+", required=True, help="one or more r")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     common(p)
     p.set_defaults(func=cmd_verify)
 

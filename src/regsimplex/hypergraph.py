@@ -13,9 +13,9 @@ from itertools import combinations
 from math import comb
 from typing import Union
 
-from .census import is_structured_simplex
+from .census import structured_simplices
 from .geometry import PointSet, is_regular_simplex
-from .lenz import CircleConfig
+from .lenz import CircleConfig, check_json_type
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,35 @@ class Hypergraph:
 
     @staticmethod
     def from_json(obj: dict) -> "Hypergraph":
+        """Parse an object with integers n and k and a list of edges, each a
+        list of integer vertices; bad input raises ValueError."""
+        check_json_type(obj, (dict,), "hypergraph JSON")
         try:
-            n, k, edges = obj["n"], obj["k"], obj["edges"]
+            n = check_json_type(obj["n"], (int,), "hypergraph JSON: n")
+            k = check_json_type(obj["k"], (int,), "hypergraph JSON: k")
+            edges = check_json_type(obj["edges"], (list,), "hypergraph JSON: edges")
         except KeyError as exc:
             raise ValueError(f"hypergraph JSON: missing key {exc.args[0]!r}") from None
+        for e in edges:
+            if type(e) is not list or any(type(v) is not int for v in e):
+                raise ValueError(
+                    "hypergraph JSON: each edge must be a list of integers"
+                )
         return Hypergraph(n, k, frozenset(frozenset(e) for e in edges))
 
 
 def build_simplex_hypergraph(
     source: Union[PointSet, CircleConfig], k: int
 ) -> Hypergraph:
-    """One vertex per point, one edge per regular (k-1)-simplex."""
-    edges = set()
+    """One vertex per point, one edge per regular (k-1)-simplex.
+
+    A configuration's vertices are its labeled points, and its edges come
+    from the census clique walk (census.structured_simplices).
+    """
     if isinstance(source, CircleConfig):
-        points = source.labeled_points()
-        for sub in combinations(range(len(points)), k):
-            if is_structured_simplex(source, [points[i] for i in sub]):
-                edges.add(frozenset(sub))
-        return Hypergraph(len(points), k, frozenset(edges))
+        edges = structured_simplices(source, k)
+        return Hypergraph(source.n, k, frozenset(map(frozenset, edges)))
+    edges = set()
     for sub in combinations(range(len(source)), k):
         if is_regular_simplex([source.points[i] for i in sub]):
             edges.add(frozenset(sub))

@@ -194,21 +194,56 @@ def config_to_json(config: CircleConfig) -> dict:
     }
 
 
+_JSON_NAMES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def check_json_type(value, kinds: tuple[type, ...], what: str):
+    """Return value if its JSON type is one of kinds, else raise ValueError.
+
+    A boolean never counts as an integer, and a float never as anything but
+    a number, so no float reaches the tick arithmetic.
+    """
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_NAMES[k] for k in kinds)
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be {wanted}, got {got}")
+    return value
+
+
 def config_from_json(obj: dict) -> CircleConfig:
     """Parse and validate a configuration; bad input raises ValueError.
 
-    Ticks must lie in [0, N), the components must fit in ambient_dim, only
-    the last component may be a 2-sphere, and radius_sq must be positive.
+    The JSON types must match config_to_json (radius_sq may also be an
+    integer), ticks must lie in [0, N), the components must fit in
+    ambient_dim, only the last component may be a 2-sphere, and radius_sq
+    must be positive.
     """
+    check_json_type(obj, (dict,), "config JSON")
     try:
-        ambient_dim = obj["ambient_dim"]
-        radius_sq = rational_from_str(obj["radius_sq"])
-        components = tuple(
-            Component(c["kind"], c["modulus"], tuple(c["ticks"]))
-            for c in obj["components"]
+        ambient_dim = check_json_type(
+            obj["ambient_dim"], (int,), "config JSON: ambient_dim"
         )
+        radius_sq = rational_from_str(
+            check_json_type(obj["radius_sq"], (str, int), "config JSON: radius_sq")
+        )
+        components = []
+        for i, c in enumerate(
+            check_json_type(obj["components"], (list,), "config JSON: components")
+        ):
+            what = f"config JSON: component {i}"
+            check_json_type(c, (dict,), what)
+            ticks = check_json_type(c["ticks"], (list,), f"{what}: ticks")
+            if any(type(t) is not int for t in ticks):
+                raise ValueError(f"{what}: each tick must be an integer")
+            modulus = check_json_type(c["modulus"], (int,), f"{what}: modulus")
+            components.append(Component(c["kind"], modulus, tuple(ticks)))
     except KeyError as exc:
         raise ValueError(f"config JSON: missing key {exc.args[0]!r}") from None
+    except ZeroDivisionError:
+        raise ValueError("config JSON: radius_sq has a zero denominator") from None
     if radius_sq <= 0:
         raise ValueError("config JSON: radius_sq must be positive")
     for i, c in enumerate(components):
@@ -226,4 +261,4 @@ def config_from_json(obj: dict) -> CircleConfig:
             f"config JSON: components need {width} coordinates, "
             f"ambient_dim is {ambient_dim}"
         )
-    return CircleConfig(ambient_dim, radius_sq, components)
+    return CircleConfig(ambient_dim, radius_sq, tuple(components))

@@ -1,5 +1,3 @@
-import multiprocessing
-import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from regsimplex import census, formulas
 from regsimplex.census import (
     CountReport,
     brute_force_structured,
@@ -15,6 +14,7 @@ from regsimplex.census import (
     count_inscribed_triangles,
     count_structured,
     is_structured_simplex,
+    structured_simplices,
     tick_chord_class,
 )
 from regsimplex.exactnum import Quad3
@@ -25,6 +25,7 @@ from regsimplex.lenz import (
     build_odd_config,
     embed_config,
 )
+from regsimplex.hypergraph import build_simplex_hypergraph
 from test_formulas import subset_expansion
 
 
@@ -53,12 +54,46 @@ def tick_sets(draw, max_size=16):
 
 
 @st.composite
-def tick_configs(draw):
+def tick_configs(draw, max_circles=6, max_size=10):
     comps = tuple(
         Component("circle", N, ticks)
-        for ticks, N in draw(st.lists(tick_sets(max_size=10), min_size=1, max_size=6))
+        for ticks, N in draw(
+            st.lists(tick_sets(max_size=max_size), min_size=1, max_size=max_circles)
+        )
     )
     return CircleConfig(2 * len(comps), Fraction(1), comps)
+
+
+def classify(selection):
+    """Simplex type of a selection by its largest circle multiplicity."""
+    mult = {}
+    for ci, _ in selection:
+        mult[ci] = mult.get(ci, 0) + 1
+    return ("delta1", "delta2", "delta3")[max(mult.values()) - 1]
+
+
+def reference_simplices(config, k):
+    """Reference: every k-subset of the labeled points that the structured
+    predicate accepts, as (ascending indices, type)."""
+    points = config.labeled_points()
+    return [
+        (sub, classify([points[i] for i in sub]))
+        for sub in combinations(range(len(points)), k)
+        if is_structured_simplex(config, [points[i] for i in sub])
+    ]
+
+
+def reference_census(config, k, side_sq=None):
+    """Reference census by subset enumeration, honoring the side filter."""
+    mixed = side_sq is None or side_sq == 2 * config.radius_sq
+    single = side_sq is None or side_sq == 3 * config.radius_sq
+    kinds = [kind for _, kind in reference_simplices(config, k)]
+    return CountReport(
+        kinds.count("delta1") if mixed else 0,
+        kinds.count("delta2") if mixed else 0,
+        kinds.count("delta3") if single else 0,
+        side_length_sq=side_sq,
+    )
 
 
 class TestTickChordClass:
@@ -160,35 +195,6 @@ class TestStructuredCounts:
         assert report.total == 524
         assert report == brute_force_structured(config, 3)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # A serial stand-in for the pool records the requested process
-        # count, so no large worker count ever starts a process.
-        requested = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        config = build_even_config(20, 3, (6, 6, 8))
-        serial = brute_force_structured(config, 3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        for workers in (2, 3, 4, 10**6):
-            assert brute_force_structured(config, 3, workers=workers) == serial
-        assert requested == [2, 3, 3, 3]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert brute_force_structured(config, 3, workers=10**6) == serial
-        assert requested == [2, 3, 3, 3]
-
     @pytest.mark.parametrize(
         "config,k",
         [
@@ -233,12 +239,6 @@ class TestStructuredCounts:
         assert unit == brute_force_structured(config, 3, side_sq=Fraction(2))
         assert tri == brute_force_structured(config, 3, side_sq=Fraction(3))
 
-    def test_parallel_reduction_deterministic(self):
-        config = build_even_config(24, 3, (8, 8, 8))
-        serial = brute_force_structured(config, 3, workers=1)
-        for workers in (2, 3, 5):
-            assert brute_force_structured(config, 3, workers=workers) == serial
-
     @given(tick_configs(), st.integers(3, 6))
     def test_matches_subset_expansion(self, config, k):
         sizes = [c.size for c in config.components]
@@ -257,6 +257,77 @@ class TestStructuredCounts:
         base = build_even_config(15, 3, (4, 5, 6))
         permuted = build_even_config(15, 3, (6, 4, 5))
         assert count_structured(base, 3).total == count_structured(permuted, 3).total
+
+
+class TestCliqueCount:
+    """The clique-count tick oracle against subset enumeration."""
+
+    @given(
+        tick_configs(max_circles=4, max_size=4),
+        st.integers(3, 5),
+        st.sampled_from([None, Fraction(2), Fraction(3)]),
+    )
+    def test_matches_subset_enumeration(self, config, k, side_sq):
+        assert brute_force_structured(config, k, side_sq) == reference_census(
+            config, k, side_sq
+        )
+
+    @pytest.mark.parametrize(
+        "n,r,k", [(7, 3, 3), (21, 3, 3), (13, 4, 3), (16, 4, 4), (15, 5, 5)]
+    )
+    def test_odd_config_matches_subset_enumeration(self, n, r, k):
+        config = build_odd_config(n, r)
+        assert brute_force_structured(config, k) == reference_census(config, k)
+
+    @pytest.mark.parametrize(
+        "config,k",
+        [
+            (build_even_config(15, 3, (4, 5, 6)), 3),
+            (build_even_config(24, 3, (12, 12, 0)), 3),
+            (build_odd_config(14, 3), 3),
+            (build_even_config(16, 4, (4, 4, 4, 4)), 4),
+            (build_even_config(15, 5, (3, 3, 3, 3, 3)), 5),
+        ],
+    )
+    def test_simplices_and_hypergraph_match_enumeration(self, config, k):
+        expected = [sub for sub, _ in reference_simplices(config, k)]
+        assert sorted(structured_simplices(config, k)) == expected
+        G = build_simplex_hypergraph(config, k)
+        assert G.edges == {frozenset(sub) for sub in expected}
+
+    @pytest.mark.parametrize("n,r,k", [(200, 4, 3), (120, 5, 4)])
+    def test_large_agrees_with_closed_census(self, n, r, k):
+        partition = tuple(n // r + (i < n % r) for i in range(r))
+        config = build_even_config(n, r, partition)
+        assert brute_force_structured(config, k) == count_structured(config, k)
+
+    def test_independent_of_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("a brute-force oracle used the closed form")
+
+        for module, name in [
+            (formulas, "count_polynomial"),
+            (census, "count_polynomial"),
+            (census, "count_good_pairs"),
+            (census, "count_inscribed_triangles"),
+            (census, "_tick_set"),
+        ]:
+            monkeypatch.setattr(module, name, closed_form)
+        config = build_even_config(36, 3, (12, 12, 12))
+        assert brute_force_structured(config, 3).to_csv_row() == "1728,864,12,2604"
+        assert build_simplex_hypergraph(config, 3).e == 2604
+        config = build_even_config(32, 4, (8, 8, 8, 8))
+        assert brute_force_structured(config, 4).total == 10624
+        assert build_simplex_hypergraph(config, 4).e == 10624
+        with pytest.raises(AssertionError):
+            count_structured(config, 4)
+
+    def test_k_below_three_rejected(self):
+        config = build_even_config(6, 3, (2, 2, 2))
+        with pytest.raises(ValueError):
+            brute_force_structured(config, 2)
+        with pytest.raises(ValueError):
+            structured_simplices(config, 2)
 
 
 class TestPerCircleCounts:

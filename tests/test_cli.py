@@ -60,6 +60,16 @@ class TestCount:
         )
         assert json.loads(out)["total"] == 2592
 
+    def test_worker_count_does_not_change_bytes(self, config_file, capsys):
+        # --workers is accepted and ignored: the tick census has no pool
+        outputs = {
+            run(capsys, "count", "--in", config_file, "--method", "ticks",
+                "--workers", workers)
+            for workers in ("1", "2", "5")
+        }
+        assert outputs == {(0, run(capsys, "count", "--in", config_file,
+                                   "--method", "ticks")[1])}
+
 
 class TestFormula:
     def test_cor13(self, capsys):
@@ -107,6 +117,20 @@ class TestVerify:
         assert code == 0
         assert "closed=2604" in out and "ticks=2604" in out
 
+    def test_several_r_concatenate_single_reports(self, capsys):
+        singles = [run(capsys, "verify", "--n", "5..9", "--r", r) for r in "345"]
+        code, out = run(capsys, "verify", "--n", "5..9", "--r", "3", "4", "5")
+        assert code == 0
+        assert out == "".join(single for _, single in singles)
+        assert [c for c, _ in singles] == [0, 0, 0]
+
+    def test_several_r_with_k(self, capsys):
+        code, out = run(capsys, "verify", "--n", "8", "--r", "4", "5", "--k", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("n=8 r=4 k=4 ") and lines[1].startswith("n=8 r=5 k=4 ")
+        assert all(line.endswith("OK") for line in lines)
+
     def test_worker_count_does_not_change_bytes(self):
         ok1, rep1 = run_verify(range(3, 15), 3, 3, workers=1)
         ok4, rep4 = run_verify(range(3, 15), 3, 3, workers=4)
@@ -142,6 +166,11 @@ def assert_one_line_error(capsys, argv) -> str:
     return err
 
 
+def _edit_component(config, **fields):
+    first = {**config["components"][0], **fields}
+    return {**config, "components": [first] + config["components"][1:]}
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -153,10 +182,16 @@ class TestBadInput:
             ["formula", "--which", "cor13"],
             ["verify", "--n", "3..x", "--r", "3"],
             ["verify", "--n", "10..3", "--r", "3"],
+            ["verify", "--n", "5", "--r", "3", "2"],
+            ["verify", "--n", "8", "--r", "5", "3", "--k", "4"],
         ],
     )
     def test_one_line_error(self, capsys, argv):
         assert_one_line_error(capsys, argv)
+
+    def test_r_below_k_names_r(self, capsys):
+        argv = ["verify", "--n", "8", "--r", "5", "3", "--k", "4"]
+        assert "--r 3: need r >= k = 4" in assert_one_line_error(capsys, argv)
 
     @pytest.fixture
     def config_json(self, tmp_path):
@@ -182,6 +217,48 @@ class TestBadInput:
         path.write_text(json.dumps(config_json))
         argv = ["count", "--in", str(path), "--method", "closed"]
         assert "missing key 'radius_sq'" in assert_one_line_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: [], "config JSON must be an object, got a list"),
+            (lambda c: {**c, "ambient_dim": "6"}, "ambient_dim must be an integer"),
+            (lambda c: {**c, "ambient_dim": True}, "ambient_dim must be an integer"),
+            (lambda c: {**c, "radius_sq": 1.0}, "radius_sq must be a string or an integer"),
+            (lambda c: {**c, "radius_sq": "1/0"}, "radius_sq has a zero denominator"),
+            (lambda c: {**c, "components": {}}, "components must be a list"),
+            (lambda c: {**c, "components": [[]]}, "component 0 must be an object"),
+            (lambda c: _edit_component(c, modulus=12.0), "modulus must be an integer"),
+            (lambda c: _edit_component(c, ticks="0"), "ticks must be a list"),
+            (lambda c: _edit_component(c, ticks=["a"]), "each tick must be an integer"),
+            (lambda c: _edit_component(c, ticks=[False]), "each tick must be an integer"),
+        ],
+    )
+    def test_config_json_types(self, tmp_path, capsys, config_json, edit, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(config_json)))
+        for method in ("closed", "ticks"):
+            argv = ["count", "--in", str(path), "--method", method]
+            assert message in assert_one_line_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([], "hypergraph JSON must be an object, got a list"),
+            ({"n": "3", "k": 3, "edges": []}, "n must be an integer"),
+            ({"n": 3, "k": 3.0, "edges": []}, "k must be an integer"),
+            ({"n": 3, "k": 3, "edges": {}}, "edges must be a list"),
+            ({"n": 3, "k": 3, "edges": [7]}, "each edge must be a list of integers"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, "2"]]}, "each edge must be a list of integers"),
+        ],
+    )
+    def test_hypergraph_json_types(self, tmp_path, capsys, obj, message):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(obj))
+        argv = ["hypergraph", "--blowup", "2", "--in", str(path)]
+        assert message in assert_one_line_error(capsys, argv)
+        argv = ["hypergraph", "--contains", str(path), str(path)]
+        assert message in assert_one_line_error(capsys, argv)
 
     def test_hypergraph_missing_key(self, tmp_path, capsys):
         path = tmp_path / "h.json"
