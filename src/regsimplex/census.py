@@ -1,6 +1,6 @@
 """Simplex censuses, three ways.
 
-* coordinate brute force over an exact embedding,
+* a k-clique count over the exact squared distances of a point set,
 * a k-clique count over the tick arithmetic of a structured configuration,
 * the closed-form structured count by simplex type.
 
@@ -12,6 +12,7 @@ side 2*radius_sq, single-circle triangles 3*radius_sq.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,7 +34,6 @@ class CountReport:
     delta1: int
     delta2: int
     delta3: int
-    side_length_sq: Optional[Fraction] = None
 
     @property
     def total(self) -> int:
@@ -207,6 +207,14 @@ def _clique_frontiers(graph: list[int], circle: list[int], k: int):
     return extend((), (1 << len(graph)) - 1, 0, False)
 
 
+def _cliques(graphs, circle: list[int], k: int):
+    """Every k-clique of each graph, as a tuple of ascending indices."""
+    for graph in graphs:
+        for prefix, ext, _, _ in _clique_frontiers(graph, circle, k):
+            for w in _bits(ext):
+                yield prefix + (w,)
+
+
 def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
     """Every structured regular simplex, as ascending indices into
     config.labeled_points(): the k-cliques of the compatible-pair graph
@@ -215,12 +223,7 @@ def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
         raise ValueError("need k >= 3")
     compatible, thirds, circle = _pair_graphs(config)
     graphs = (compatible, thirds) if k == 3 else (compatible,)
-    return [
-        prefix + (w,)
-        for graph in graphs
-        for prefix, ext, _, _ in _clique_frontiers(graph, circle, k)
-        for w in _bits(ext)
-    ]
+    return list(_cliques(graphs, circle, k))
 
 
 def brute_force_structured(
@@ -251,7 +254,7 @@ def brute_force_structured(
         d3 = sum(
             ext.bit_count() for _, ext, _, _ in _clique_frontiers(thirds, circle, 3)
         )
-    return CountReport(d1, d2, d3, side_length_sq=side_sq)
+    return CountReport(d1, d2, d3)
 
 
 def count_structured(
@@ -277,30 +280,39 @@ def count_structured(
         d3 = sum(
             count_inscribed_triangles(c.ticks, c.modulus) for c in config.components
         )
-    return CountReport(d1, d2, d3, side_length_sq=side_sq)
+    return CountReport(d1, d2, d3)
 
 
-def count_brute_force(
-    P: PointSet, k: int, side_sq: Optional[Quad3] = None
-) -> int:
-    """Number of k-subsets of P that are regular simplices, by coordinates.
-
-    With side_sq given, only simplices of that exact squared side count.
-    """
+def _distance_graphs(P: PointSet, k: int, side_sq: Optional[Quad3]):
+    """One graph per exact squared distance in P (only side_sq, when given);
+    row i holds the larger-index neighbors as an int bitset."""
+    if k < 3:
+        raise ValueError("need k >= 3")
     if len(P) < k:
         raise ValueError("need at least k points")
     n = len(P)
-    dist = [[None] * n for _ in range(n)]
-    for i in range(n):
+    graphs: defaultdict[Quad3, list[int]] = defaultdict(lambda: [0] * n)
+    for i, p in enumerate(P.points):
         for j in range(i + 1, n):
-            dist[i][j] = dist[j][i] = sq_dist(P.points[i], P.points[j])
-    count = 0
-    for sub in combinations(range(n), k):
-        side = dist[sub[0]][sub[1]]
-        if side.is_zero():
-            continue
-        if side_sq is not None and side != side_sq:
-            continue
-        if all(dist[a][b] == side for a, b in combinations(sub, 2)):
-            count += 1
-    return count
+            side = sq_dist(p, P.points[j])
+            if side_sq is None or side == side_sq:
+                graphs[side][i] |= 1 << j
+    return graphs.values()
+
+
+def count_brute_force(P: PointSet, k: int, side_sq: Optional[Quad3] = None) -> int:
+    """Number of k-subsets of P that are regular simplices, by coordinates:
+    the k-cliques of the distance graphs, walked with zero circle masks.
+    With side_sq given, only simplices of that exact squared side count."""
+    zeros = [0] * len(P)
+    graphs = _distance_graphs(P, k, side_sq)
+    return sum(
+        e.bit_count() for g in graphs for _, e, _, _ in _clique_frontiers(g, zeros, k)
+    )
+
+
+def coordinate_simplices(
+    P: PointSet, k: int, side_sq: Optional[Quad3] = None
+) -> list[tuple[int, ...]]:
+    """The cliques count_brute_force counts, as ascending indices into P.points."""
+    return list(_cliques(_distance_graphs(P, k, side_sq), [0] * len(P), k))

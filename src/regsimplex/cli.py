@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import census, formulas, hypergraph, lenz
+from .exactnum import Quad3
 
 
 def _parse_range(spec: str) -> range:
@@ -80,11 +81,8 @@ def cmd_count(args) -> int:
     elif args.method == "ticks":
         report = census.brute_force_structured(config, args.k, side_sq=side_sq)
     else:  # coords
-        pts = lenz.embed_config(config)
-        from .exactnum import Quad3
-
         q3_side = Quad3.of(side_sq) if side_sq is not None else None
-        total = census.count_brute_force(pts, args.k, side_sq=q3_side)
+        total = census.count_brute_force(lenz.embed_config(config), args.k, q3_side)
         _emit(f"{total}\n" if args.csv else _dump_json({"total": total}), args.out)
         return 0
     text = report.to_csv_row() + "\n" if args.csv else _dump_json(report.to_json())

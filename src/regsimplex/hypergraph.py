@@ -9,12 +9,12 @@ unconstrained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Union
 
-from .census import structured_simplices
-from .geometry import PointSet, is_regular_simplex
+from .census import coordinate_simplices, structured_simplices
+from .geometry import PointSet
 from .lenz import CircleConfig, check_json_type
 
 
@@ -25,6 +25,8 @@ class Hypergraph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        if self.n < 0 or self.k < 1:
+            raise ValueError(f"need n >= 0 and k >= 1, got n={self.n}, k={self.k}")
         for e in self.edges:
             if len(e) != self.k:
                 raise ValueError("edge of wrong size")
@@ -64,19 +66,14 @@ class Hypergraph:
 def build_simplex_hypergraph(
     source: Union[PointSet, CircleConfig], k: int
 ) -> Hypergraph:
-    """One vertex per point, one edge per regular (k-1)-simplex.
-
-    A configuration's vertices are its labeled points, and its edges come
-    from the census clique walk (census.structured_simplices).
-    """
+    """One vertex per point, one edge per regular (k-1)-simplex, listed by
+    the census clique walk: structured_simplices for a configuration (whose
+    vertices are its labeled points), coordinate_simplices for a point set."""
     if isinstance(source, CircleConfig):
-        edges = structured_simplices(source, k)
-        return Hypergraph(source.n, k, frozenset(map(frozenset, edges)))
-    edges = set()
-    for sub in combinations(range(len(source)), k):
-        if is_regular_simplex([source.points[i] for i in sub]):
-            edges.add(frozenset(sub))
-    return Hypergraph(len(source), k, frozenset(edges))
+        n, edges = source.n, structured_simplices(source, k)
+    else:
+        n, edges = len(source), coordinate_simplices(source, k)
+    return Hypergraph(n, k, frozenset(map(frozenset, edges)))
 
 
 def make_pattern_H(r: int, k: int) -> Hypergraph:
@@ -101,18 +98,11 @@ def blowup(H: Hypergraph, t: int) -> Hypergraph:
     t^k transversal edges across the corresponding t-sets."""
     if t < 1:
         raise ValueError("need t >= 1")
-    edges = set()
-    for e in H.edges:
-        groups = [[v * t + i for i in range(t)] for v in sorted(e)]
-
-        def expand(idx, chosen):
-            if idx == len(groups):
-                edges.add(frozenset(chosen))
-                return
-            for w in groups[idx]:
-                expand(idx + 1, chosen + [w])
-
-        expand(0, [])
+    edges = {
+        frozenset(choice)
+        for e in H.edges
+        for choice in product(*(range(v * t, v * t + t) for v in e))
+    }
     return Hypergraph(H.n * t, H.k, frozenset(edges))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regsimplex import census, formulas
 from regsimplex.census import (
@@ -13,11 +13,13 @@ from regsimplex.census import (
     count_good_pairs,
     count_inscribed_triangles,
     count_structured,
+    coordinate_simplices,
     is_structured_simplex,
     structured_simplices,
     tick_chord_class,
 )
 from regsimplex.exactnum import Quad3
+from regsimplex.geometry import Point, PointSet, is_regular_simplex, sq_dist
 from regsimplex.lenz import (
     CircleConfig,
     Component,
@@ -46,22 +48,62 @@ def pairwise_triangles(ticks, N):
 
 
 @st.composite
-def tick_sets(draw, max_size=16):
-    """(ticks, N): distinct residues, each shifted by a multiple of N."""
+def tick_sets(draw, max_size=16, turns=2):
+    """(ticks, N): distinct residues, each shifted by up to turns multiples
+    of N."""
     N = 12 * draw(st.integers(1, 4))
     residues = draw(st.sets(st.integers(0, N - 1), max_size=min(N, max_size)))
-    return tuple(t + N * draw(st.integers(-2, 2)) for t in sorted(residues)), N
+    return tuple(t + N * draw(st.integers(-turns, turns)) for t in sorted(residues)), N
 
 
 @st.composite
-def tick_configs(draw, max_circles=6, max_size=10):
+def tick_configs(draw, max_circles=6, max_size=10, turns=2):
+    sets = tick_sets(max_size=max_size, turns=turns)
     comps = tuple(
         Component("circle", N, ticks)
-        for ticks, N in draw(
-            st.lists(tick_sets(max_size=max_size), min_size=1, max_size=max_circles)
-        )
+        for ticks, N in draw(st.lists(sets, min_size=1, max_size=max_circles))
     )
     return CircleConfig(2 * len(comps), Fraction(1), comps)
+
+
+@st.composite
+def embeddable_configs(draw, max_points=9):
+    """Three or four unit circles of one to three points each, at most
+    max_points in all, every tick a 30-degree multiple (possibly shifted by
+    whole turns), so embed_config applies."""
+    circles = draw(st.integers(3, 4))
+    comps = []
+    for i in range(circles):
+        cap = min(3, max_points - sum(c.size for c in comps) - (circles - 1 - i))
+        m = draw(st.integers(1, 2))
+        steps = draw(st.sets(st.integers(0, 11), min_size=1, max_size=cap))
+        turns = [draw(st.integers(-1, 1)) for _ in steps]
+        ticks = tuple(m * (s + 12 * w) for s, w in zip(sorted(steps), turns))
+        comps.append(Component("circle", 12 * m, ticks))
+    return CircleConfig(2 * circles, Fraction(1), tuple(comps))
+
+
+# A third-turn triangle, a quarter-turn pair on modulus 24, and one more point.
+THIRDS_AND_QUARTER = CircleConfig(
+    6,
+    Fraction(1),
+    (
+        Component("circle", 12, (0, 4, 8)),
+        Component("circle", 24, (0, 6)),
+        Component("circle", 12, (5,)),
+    ),
+)
+
+
+def reference_coordinate_simplices(P, k, side_sq=None):
+    """Reference: every k-subset of P that is a regular simplex, of squared
+    side side_sq when it is given, as ascending indices."""
+    return [
+        sub
+        for sub in combinations(range(len(P)), k)
+        if is_regular_simplex([P.points[i] for i in sub])
+        and (side_sq is None or sq_dist(*(P.points[i] for i in sub[:2])) == side_sq)
+    ]
 
 
 def classify(selection):
@@ -92,7 +134,6 @@ def reference_census(config, k, side_sq=None):
         kinds.count("delta1") if mixed else 0,
         kinds.count("delta2") if mixed else 0,
         kinds.count("delta3") if single else 0,
-        side_length_sq=side_sq,
     )
 
 
@@ -328,6 +369,53 @@ class TestCliqueCount:
             brute_force_structured(config, 2)
         with pytest.raises(ValueError):
             structured_simplices(config, 2)
+
+
+class TestCoordinateCliques:
+    """The coordinate oracle's clique walk against subset enumeration."""
+
+    # The reference computes the pair distances of every subset over
+    # Fraction arithmetic: slower than the default deadline allows.
+    @settings(deadline=None, max_examples=50)
+    @given(
+        embeddable_configs(),
+        st.integers(3, 5),
+        st.sampled_from([None, Fraction(2), Fraction(3)]),
+    )
+    @example(THIRDS_AND_QUARTER, 3, Fraction(3))
+    def test_matches_subset_enumeration(self, config, k, side_sq):
+        assume(config.n >= k)
+        P = embed_config(config)
+        q3_side = None if side_sq is None else Quad3.of(side_sq)
+        expected = reference_coordinate_simplices(P, k, q3_side)
+        assert sorted(coordinate_simplices(P, k, q3_side)) == expected
+        assert count_brute_force(P, k, q3_side) == len(expected)
+        assert brute_force_structured(config, k, side_sq).total == len(expected)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_unit_vectors_and_origin(self, k):
+        # e_1..e_5 are pairwise at squared distance 2 and each at 1 from the
+        # origin, so every regular simplex is a k-subset of the unit vectors
+        zero, one = Quad3.of(0), Quad3.of(1)
+        units = [tuple(one if j == i else zero for j in range(5)) for i in range(5)]
+        P = PointSet(5, tuple(map(Point, (*units, (zero,) * 5))))
+        expected = list(combinations(range(5), k))
+        assert reference_coordinate_simplices(P, k) == expected
+        assert sorted(coordinate_simplices(P, k)) == expected
+        assert count_brute_force(P, k) == len(expected)
+        assert count_brute_force(P, k, side_sq=Quad3.of(2)) == len(expected)
+        assert count_brute_force(P, k, side_sq=one) == 0
+        assert coordinate_simplices(P, k, side_sq=one) == []
+        G = build_simplex_hypergraph(P, k)
+        assert G.n == 6 and G.edges == {frozenset(sub) for sub in expected}
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_k_below_three_rejected(self, k):
+        P = embed_config(build_even_config(6, 3, (2, 2, 2)))
+        with pytest.raises(ValueError, match="need k >= 3"):
+            count_brute_force(P, k)
+        with pytest.raises(ValueError, match="need k >= 3"):
+            coordinate_simplices(P, k)
 
 
 class TestPerCircleCounts:

@@ -207,6 +207,13 @@ class TestBadInput:
         path.write_text(json.dumps(config_json))
         assert_one_line_error(capsys, ["count", "--in", str(path), "--method", method])
 
+    @pytest.mark.parametrize("k", ["0", "1", "2"])
+    def test_coords_k_below_three(self, tmp_path, capsys, config_json, k):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_json))
+        argv = ["count", "--in", str(path), "--method", "coords", "--k", k]
+        assert "need k >= 3" in assert_one_line_error(capsys, argv)
+
     def test_missing_input_file(self, tmp_path, capsys):
         argv = ["count", "--in", str(tmp_path / "absent.json"), "--method", "closed"]
         assert "No such file" in assert_one_line_error(capsys, argv)
@@ -250,6 +257,9 @@ class TestBadInput:
             ({"n": 3, "k": 3, "edges": {}}, "edges must be a list"),
             ({"n": 3, "k": 3, "edges": [7]}, "each edge must be a list of integers"),
             ({"n": 3, "k": 3, "edges": [[0, 1, "2"]]}, "each edge must be a list of integers"),
+            ({"n": -2, "k": 0, "edges": []}, "need n >= 0 and k >= 1, got n=-2, k=0"),
+            ({"n": -1, "k": 3, "edges": []}, "need n >= 0 and k >= 1"),
+            ({"n": 3, "k": 0, "edges": []}, "need n >= 0 and k >= 1"),
         ],
     )
     def test_hypergraph_json_types(self, tmp_path, capsys, obj, message):

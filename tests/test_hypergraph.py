@@ -53,6 +53,12 @@ class TestPattern:
         assert core_pairs == {frozenset(p) for p in combinations(range(4), 2)}
 
 
+class TestHypergraphValidation:
+    # n < 0 and k < 1 are rejected at the JSON boundary (tests/test_cli.py)
+    def test_smallest_sizes_accepted(self):
+        assert Hypergraph(0, 1, frozenset()).e == 0
+
+
 class TestBlowup:
     def test_single_edge(self):
         H = Hypergraph(3, 3, frozenset({frozenset({0, 1, 2})}))
@@ -69,6 +75,17 @@ class TestBlowup:
     def test_pattern_blowup(self):
         B = blowup(make_pattern_H(3, 3), 3)
         assert B.n == 30 and B.e == 162
+
+    @pytest.mark.parametrize("r,k", [(2, 3), (3, 3), (4, 3), (3, 4), (5, 5)])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_edges_are_the_transversals(self, r, k, t):
+        # a k-set is a blowup edge iff its vertices come from k distinct
+        # t-sets whose original vertices form an edge; each edge has t^k
+        H = make_pattern_H(r, k)
+        B = blowup(H, t)
+        assert B.e == t**k * H.e
+        assert all(len({v // t for v in e}) == k for e in B.edges)
+        assert {frozenset(v // t for v in e) for e in B.edges} == H.edges
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_scaling_laws(self, t):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from regsimplex.census import (
     count_good_pairs,
@@ -16,6 +17,7 @@ from regsimplex.lenz import (
     place_on_circle,
     theorem12_partition,
 )
+from test_census import tick_configs
 
 
 class TestTheorem12Partition:
@@ -146,6 +148,10 @@ class TestJsonRoundTrip:
         ],
     )
     def test_round_trip(self, config):
+        assert config_from_json(config_to_json(config)) == config
+
+    @given(tick_configs(turns=0))
+    def test_round_trip_random(self, config):
         assert config_from_json(config_to_json(config)) == config
 
 
