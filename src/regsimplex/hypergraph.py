@@ -8,12 +8,13 @@ unconstrained.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Union
 
-from .census import coordinate_simplices, structured_simplices
+from .census import _bits, _clique_frontiers, coordinate_simplices, structured_simplices
 from .geometry import PointSet
 from .lenz import CircleConfig, check_json_type
 
@@ -109,63 +110,110 @@ def blowup(H: Hypergraph, t: int) -> Hypergraph:
 def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     """Backtracking search for an injective edge-preserving map H -> G.
 
-    Vertices of H are assigned in descending-degree order; candidates are
-    filtered by degree and every fully mapped edge of H is checked at once.
+    The shadow graph of a hypergraph joins two vertices when they share an
+    edge.  A copy maps a clique of H's shadow onto a clique of G's, so the
+    answer is False at once when G's shadow has no clique as large as the
+    largest one in H's.  Otherwise G is indexed once on Python-int bitsets
+    of its vertices: link[f] holds the vertices that complete the (k-1)-set
+    f (as a bitset key) to an edge, and shadow[v] the vertices that share an
+    edge with v.  H's vertices are placed greedily, next the one closing the
+    most edges of H (ties to higher degree, then lower index).  The
+    candidates of H-vertex hv are the free G-vertices of at least its
+    degree, intersected with the shadow of the image of every placed
+    H-neighbour and the link of the image of e - hv for every edge e the
+    step closes; they are tried lowest first.
     Intended for desk scale (v(H) up to ~16, v(G) up to ~40).
     """
     if G.k != H.k:
         raise ValueError("uniformities must match")
     if H.n > G.n or H.e > G.e:
         return False
-    h_deg = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            h_deg[v] += 1
-    g_deg = [0] * G.n
-    for e in G.edges:
-        for v in e:
-            g_deg[v] += 1
-    # Assignment order: greedily pick the vertex completing the most edges
-    # of H given what is already placed (ties broken by degree), so edge
-    # membership constraints prune as early as possible.
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < H.n:
-        def closable(v):
-            return sum(1 for e in H.edges if v in e and e - {v} <= placed)
-
-        nxt = max(
-            (v for v in range(H.n) if v not in placed),
-            key=lambda v: (closable(v), h_deg[v], -v),
-        )
-        order.append(nxt)
-        placed.add(nxt)
-    pos = {v: i for i, v in enumerate(order)}
-    # For pruning: edges of H grouped by the assignment step completing them.
-    edges_done_at = [[] for _ in range(H.n)]
-    for e in H.edges:
-        edges_done_at[max(pos[v] for v in e)].append(e)
-    mapping = [-1] * H.n
-    used = [False] * G.n
-
-    def extend(step: int) -> bool:
-        if step == H.n:
-            return True
-        hv = order[step]
-        for gv in range(G.n):
-            if used[gv] or g_deg[gv] < h_deg[hv]:
-                continue
-            mapping[hv] = gv
-            ok = all(
-                frozenset(mapping[v] for v in e) in G.edges
-                for e in edges_done_at[step]
-            )
-            if ok:
-                used[gv] = True
-                if extend(step + 1):
-                    return True
-                used[gv] = False
-        mapping[hv] = -1
+    g_deg, g_shadow, link = _index(G)
+    h_deg, h_shadow, _ = _index(H)
+    if not _has_clique(g_shadow, _clique_number(h_shadow)):
         return False
+    h_edges = [_mask(e) for e in H.edges]
+    plan = []
+    placed = 0
+    while len(plan) < H.n:
+        # closes[v]: the rests e - v of the edges e that placing v completes
+        closes = {
+            v: [e ^ (1 << v) for e in h_edges if e & ~placed == 1 << v]
+            for v in range(H.n)
+            if not placed >> v & 1
+        }
+        hv = max(closes, key=lambda v: (len(closes[v]), h_deg[v], -v))
+        covered = 0
+        for rest in closes[hv]:
+            covered |= rest
+        degree_ok = _mask(g for g in range(G.n) if g_deg[g] >= h_deg[hv])
+        neighbours = h_shadow[hv] & placed & ~covered
+        rests = [tuple(_bits(rest)) for rest in closes[hv]]
+        plan.append((hv, degree_ok, tuple(_bits(neighbours)), rests))
+        placed |= 1 << hv
+    shadow = {1 << v: row for v, row in enumerate(g_shadow)}
+    return _place(plan, 0, [0] * H.n, (1 << G.n) - 1, shadow, link)
 
-    return extend(0)
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _index(F: Hypergraph) -> tuple[list[int], list[int], dict[int, int]]:
+    """Degrees, shadow rows (shadow[v]: the vertices sharing an edge with v)
+    and links (link[f]: the vertices completing the (k-1)-set with bitset f
+    to an edge)."""
+    deg = [0] * F.n
+    shadow = [0] * F.n
+    link: defaultdict[int, int] = defaultdict(int)
+    for e in F.edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            low = 1 << v
+            rest = mask ^ low
+            deg[v] += 1
+            shadow[v] |= rest
+            link[rest] |= low
+    return deg, shadow, link
+
+
+def _has_clique(shadow: list[int], size: int) -> bool:
+    """Whether the graph with neighbour bitsets shadow has a size-clique,
+    by census's clique walk over the larger-index neighbours."""
+    if size <= 1:
+        return len(shadow) >= size
+    upper = [row >> (v + 1) << (v + 1) for v, row in enumerate(shadow)]
+    return next(_clique_frontiers(upper, [0] * len(upper), size), None) is not None
+
+
+def _clique_number(shadow: list[int]) -> int:
+    size = 0
+    while _has_clique(shadow, size + 1):
+        size += 1
+    return size
+
+
+def _place(plan, step: int, image: list[int], free: int, shadow, link) -> bool:
+    """Map the H-vertices of plan[step:].  image[u] is the bit of the image
+    of each H-vertex u placed before, free holds the unused G-vertices, and
+    shadow and link are G's index, shadow keyed by a vertex's bit."""
+    if step == len(plan):
+        return True
+    hv, cand, neighbours, closing = plan[step]
+    cand &= free
+    for u in neighbours:
+        cand &= shadow[image[u]]
+    for rest in closing:
+        key = 0
+        for u in rest:
+            key |= image[u]
+        cand &= link.get(key, 0)
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        image[hv] = low
+        if _place(plan, step + 1, image, free ^ low, shadow, link):
+            return True
+    return False

@@ -184,11 +184,17 @@ def embed_config(config: CircleConfig) -> PointSet:
 
 
 def config_to_json(config: CircleConfig) -> dict:
+    """The object config_from_json reads; each component's ticks are written
+    reduced modulo its modulus, ascending."""
     return {
         "ambient_dim": config.ambient_dim,
         "radius_sq": rational_to_str(config.radius_sq),
         "components": [
-            {"kind": c.kind, "modulus": c.modulus, "ticks": sorted(c.ticks)}
+            {
+                "kind": c.kind,
+                "modulus": c.modulus,
+                "ticks": sorted(t % c.modulus for t in c.ticks),
+            }
             for c in config.components
         ],
     }

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from regsimplex import hypergraph
 from regsimplex.census import count_structured
 from regsimplex.hypergraph import (
     Hypergraph,
@@ -23,6 +24,17 @@ def naive_contains(G: Hypergraph, H: Hypergraph) -> bool:
         if all(frozenset(image[v] for v in e) in G.edges for e in H.edges):
             return True
     return False
+
+
+# Six triples covering all 15 pairs of 6 vertices.
+PAIR_COVER = Hypergraph(
+    6,
+    3,
+    frozenset(
+        frozenset(e)
+        for e in [(0, 1, 2), (0, 1, 3), (0, 4, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5)]
+    ),
+)
 
 
 def random_hypergraph(rng, n, k, n_edges) -> Hypergraph:
@@ -112,12 +124,45 @@ class TestContainsCopy:
         with pytest.raises(ValueError):
             contains_copy(G, H)
 
+    # (k, G's vertex range, G's edge range, H's edge range, isolated
+    # vertices added to H); H has 3 to 6 vertices before those
+    ORACLE_CASES = [
+        (3, (4, 10), (1, 12), (1, 4), 0),
+        # no edges in H: a copy exists iff H.n <= G.n, even when G has no
+        # edges either (so a clique bound may not start at k)
+        (3, (4, 10), (0, 4), (0, 0), 0),
+        (4, (4, 10), (0, 4), (0, 0), 0),
+        (3, (4, 8), (1, 12), (1, 3), 2),
+        (4, (5, 9), (1, 12), (1, 4), 0),
+    ]
+
     def test_agrees_with_naive_oracle(self):
-        rng = random.Random(13)
-        for _ in range(60):
-            G = random_hypergraph(rng, rng.randint(4, 10), 3, rng.randint(1, 12))
-            H = random_hypergraph(rng, rng.randint(3, 6), 3, rng.randint(1, 4))
-            assert contains_copy(G, H) == naive_contains(G, H)
+        for k, g_n, g_edges, h_edges, isolated in self.ORACLE_CASES:
+            rng = random.Random(13)
+            for _ in range(60):
+                G = random_hypergraph(rng, rng.randint(*g_n), k, rng.randint(*g_edges))
+                H = random_hypergraph(rng, rng.randint(3, 6), k, rng.randint(*h_edges))
+                H = Hypergraph(H.n + isolated, k, H.edges)
+                assert contains_copy(G, H) == naive_contains(G, H), (G, H)
+
+    def test_shadow_clique_refutes_pair_cover(self, monkeypatch):
+        # Every pair of the 6 vertices shares an edge, so the cover's shadow
+        # is a 6-clique; the (4, 4, 1) host's shadow misses the two
+        # diameters of each full circle and has clique number 5.
+        G = build_simplex_hypergraph(build_even_config(9, 3, (4, 4, 1)), 3)
+        assert not naive_contains(G, PAIR_COVER)
+
+        def no_search(*args):
+            raise AssertionError("the clique bound should decide this query")
+
+        monkeypatch.setattr(hypergraph, "_place", no_search)
+        assert not contains_copy(G, PAIR_COVER)
+
+    def test_pair_cover_found_when_shadow_has_the_clique(self):
+        # one more point on the third circle: the shadow has a 6-clique
+        G = build_simplex_hypergraph(build_even_config(10, 3, (4, 4, 2)), 3)
+        assert contains_copy(G, PAIR_COVER)
+        assert naive_contains(G, PAIR_COVER)
 
     def test_planted_copies_always_found(self):
         rng = random.Random(29)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 
 from regsimplex.census import (
+    brute_force_structured,
     count_good_pairs,
+    count_structured,
     count_inscribed_triangles,
     tick_chord_class,
 )
@@ -150,9 +152,17 @@ class TestJsonRoundTrip:
     def test_round_trip(self, config):
         assert config_from_json(config_to_json(config)) == config
 
-    @given(tick_configs(turns=0))
+    @given(tick_configs())
     def test_round_trip_random(self, config):
-        assert config_from_json(config_to_json(config)) == config
+        # ticks may lie outside [0, N); they are written reduced modulo N
+        obj = config_to_json(config)
+        parsed = config_from_json(obj)
+        assert config_to_json(parsed) == obj
+        for k in (3, 4):
+            assert count_structured(parsed, k) == count_structured(config, k)
+            assert brute_force_structured(parsed, k) == brute_force_structured(
+                config, k
+            )
 
 
 class TestConfigValidation:
