@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .geometry import PointSet, sq_dist
@@ -93,41 +92,6 @@ def count_inscribed_triangles(ticks: Sequence[int], N: int) -> int:
     return sum(
         1 for t in S if (t + third) % N in S and (t + 2 * third) % N in S
     ) // 3
-
-
-def is_structured_simplex(
-    config: CircleConfig, selection: Sequence[tuple[int, int]]
-) -> bool:
-    """Whether k labeled points (circle, tick) are pairwise equidistant.
-
-    Cross-circle distances all equal sqrt(2)*radius, so a mixed selection is
-    regular iff every same-circle pair sits at a quarter turn.  A selection
-    on a single circle (possible only for k = 3) is regular iff all three
-    pairs sit at a third of a turn.  Three points pairwise at 90 degrees on
-    one circle cannot exist, so no mixed simplex uses three points of one
-    circle.
-    """
-    if len(set(selection)) != len(selection):
-        raise ValueError("selection points must be distinct")
-    by_circle: dict[int, list[int]] = {}
-    for ci, t in selection:
-        by_circle.setdefault(ci, []).append(t)
-    if len(by_circle) == 1:
-        (ci, ticks), = by_circle.items()
-        if len(ticks) != 3:
-            return False
-        N = config.components[ci].modulus
-        return all(
-            tick_chord_class(N, b - a) == THIRD for a, b in combinations(ticks, 2)
-        )
-    for ci, ticks in by_circle.items():
-        if len(ticks) > 2:
-            return False
-        if len(ticks) == 2:
-            N = config.components[ci].modulus
-            if tick_chord_class(N, ticks[1] - ticks[0]) != QUARTER:
-                return False
-    return True
 
 
 def _side_modes(config: CircleConfig, side_sq: Optional[Fraction]):

@@ -52,6 +52,12 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(path: str, from_json):
+    """Read one input file and check it at the JSON boundary with from_json."""
+    with open(path) as fh:
+        return from_json(json.load(fh))
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -62,32 +68,37 @@ def _choose_partition(n: int, r: int, k: int) -> tuple[int, ...]:
     return formulas.maximize_f_k(n, r, k).argmax[0]
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[int, str]:
     if args.odd:
         config = lenz.build_odd_config(args.n, args.r)
     else:
         partition = _choose_partition(args.n, args.r, args.k)
         config = lenz.build_even_config(args.n, args.r, partition)
-    _emit(_dump_json(lenz.config_to_json(config)), args.out)
-    return 0
+    return 0, _dump_json(lenz.config_to_json(config))
 
 
-def cmd_count(args) -> int:
-    with open(args.infile) as fh:
-        config = lenz.config_from_json(json.load(fh))
-    side_sq = Fraction(args.side_sq) if args.side_sq else None
-    if args.method == "closed":
-        report = census.count_structured(config, args.k, side_sq=side_sq)
-    elif args.method == "ticks":
-        report = census.brute_force_structured(config, args.k, side_sq=side_sq)
-    else:  # coords
+def _positive_rational(spec: str) -> Fraction:
+    try:
+        value = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise ValueError(f"--side-sq: expected a positive rational, got {spec!r}")
+    return value
+
+
+def cmd_count(args) -> tuple[int, str]:
+    side_sq = None if args.side_sq is None else _positive_rational(args.side_sq)
+    config = _read_json(args.infile, lenz.config_from_json)
+    if args.method == "coords":
         q3_side = Quad3.of(side_sq) if side_sq is not None else None
         total = census.count_brute_force(lenz.embed_config(config), args.k, q3_side)
-        _emit(f"{total}\n" if args.csv else _dump_json({"total": total}), args.out)
-        return 0
-    text = report.to_csv_row() + "\n" if args.csv else _dump_json(report.to_json())
-    _emit(text, args.out)
-    return 0
+        return 0, f"{total}\n" if args.csv else _dump_json({"total": total})
+    if args.method == "closed":
+        report = census.count_structured(config, args.k, side_sq=side_sq)
+    else:  # ticks
+        report = census.brute_force_structured(config, args.k, side_sq=side_sq)
+    return 0, report.to_csv_row() + "\n" if args.csv else _dump_json(report.to_json())
 
 
 def _parse_partition(spec: Optional[str]) -> tuple[int, ...]:
@@ -101,48 +112,43 @@ def _parse_partition(spec: Optional[str]) -> tuple[int, ...]:
         ) from None
 
 
-def cmd_formula(args) -> int:
+def cmd_formula(args) -> tuple[int, str]:
     if args.which in ("t2r", "cor13", "leading") and (args.n is None or args.r is None):
         raise ValueError(f"--n and --r are required for --which {args.which}")
+    if args.which == "leading":
+        value = formulas.asymptotic_leading(args.n, args.r, args.k)
+        return 0, _dump_json({"value": str(value)})
     if args.which == "fk":
         res = formulas.eval_f_k(_parse_partition(args.partition), args.k)
     elif args.which == "t2r":
         res = formulas.eval_T2r_closed(args.n, args.r)
     elif args.which == "cor13":
         res = formulas.eval_corollary13(args.n, args.r)
-    elif args.which == "unit":
+    else:  # unit
         res = formulas.eval_unit_triangle_formula(_parse_partition(args.partition))
-    else:  # leading
-        value = formulas.asymptotic_leading(args.n, args.r, args.k)
-        _emit(_dump_json({"value": str(value)}), args.out)
-        return 0
     payload = {"value": res.value}
     if res.terms is not None:
         payload["terms"] = list(res.terms)
     if res.argmax is not None:
         payload["argmax"] = [list(v) for v in res.argmax]
-    _emit(_dump_json(payload), args.out)
-    return 0
+    return 0, _dump_json(payload)
 
 
-def cmd_maximize(args) -> int:
+def cmd_maximize(args) -> tuple[int, str]:
     res = formulas.maximize_f_k(args.n, args.r, args.k)
-    payload = {
-        "value": res.value,
-        "argmax": [list(v) for v in res.argmax],
-        # maximize_f_k is exact, so there is no search boundary to touch; the
-        # key stays, always false, so the output keeps its recorded bytes.
-        "boundary_touched": False,
-    }
     if args.csv:
         rows = [
             f"{args.n},{args.r},{args.k},{res.value},\"{' '.join(map(str, v))}\""
             for v in res.argmax
         ]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        _emit(_dump_json(payload), args.out)
-    return 0
+        return 0, "\n".join(rows) + "\n"
+    return 0, _dump_json({
+        "value": res.value,
+        "argmax": [list(v) for v in res.argmax],
+        # maximize_f_k is exact, so there is no search boundary to touch; the
+        # key stays, always false, so the output keeps its recorded bytes.
+        "boundary_touched": False,
+    })
 
 
 def run_verify(n_range, r: int, k: int, workers: int = 1):
@@ -179,36 +185,33 @@ def run_verify(n_range, r: int, k: int, workers: int = 1):
     return ok, "\n".join(lines) + "\n"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     """One report block per --r value, in the order given."""
     n_range = _parse_range(args.n)
     for r in args.r:
         if r < args.k:
             raise ValueError(f"--r {r}: need r >= k = {args.k}")
+        if r > n_range[0]:
+            raise ValueError(f"--r {r}: need n >= r, but --n starts at {n_range[0]}")
     results = [run_verify(n_range, r, args.k) for r in args.r]
-    _emit("".join(report for _, report in results), args.out)
-    return 0 if all(ok for ok, _ in results) else 1
+    code = 0 if all(ok for ok, _ in results) else 1
+    return code, "".join(report for _, report in results)
 
 
-def cmd_hypergraph(args) -> int:
+def cmd_hypergraph(args) -> tuple[int, str]:
+    if args.blowup is None and args.infile is not None:
+        raise ValueError("--in goes only with --blowup")
     if args.make_pattern:
-        r, k = args.make_pattern
-        H = hypergraph.make_pattern_H(r, k)
-        _emit(_dump_json(H.to_json()), args.out)
-        return 0
-    if args.blowup is not None:
-        with open(args.infile) as fh:
-            H = hypergraph.Hypergraph.from_json(json.load(fh))
-        _emit(_dump_json(hypergraph.blowup(H, args.blowup).to_json()), args.out)
-        return 0
-    g_path, h_path = args.contains
-    with open(g_path) as fh:
-        G = hypergraph.Hypergraph.from_json(json.load(fh))
-    with open(h_path) as fh:
-        H = hypergraph.Hypergraph.from_json(json.load(fh))
-    found = hypergraph.contains_copy(G, H)
-    _emit(_dump_json({"contains": found}), args.out)
-    return 0
+        H = hypergraph.make_pattern_H(*args.make_pattern)
+    elif args.blowup is not None:
+        if args.infile is None:
+            raise ValueError("--blowup needs --in")
+        H = _read_json(args.infile, hypergraph.Hypergraph.from_json)
+        H = hypergraph.blowup(H, args.blowup)
+    else:
+        G, H = (_read_json(path, hypergraph.Hypergraph.from_json) for path in args.contains)
+        return 0, _dump_json({"contains": hypergraph.contains_copy(G, H)})
+    return 0, _dump_json(H.to_json())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,25 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--csv", action="store_true", help="tabular output")
-
     p = sub.add_parser("generate", help="build a configuration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--odd", action="store_true", help="odd-dimension skeleton")
-    common(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("count", help="census a configuration file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["coords", "ticks", "closed"], required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--side-sq", help="restrict to this squared side (rational)")
+    p.add_argument("--side-sq", help="restrict to this squared side (positive rational)")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
-    common(p)
+    p.add_argument("--csv", action="store_true", help="one CSV line of counts")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("formula", help="evaluate a closed form")
@@ -245,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--partition", help="comma-separated entries, for fk/unit")
-    common(p)
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("maximize", help="exact maximum of f_k over partitions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    common(p)
+    p.add_argument("--csv", action="store_true", help="one CSV line per maximizer")
     p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("verify", help="cross-validate counting routes")
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, nargs="+", required=True, help="one or more r")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hypergraph", help="pattern / blowup / containment")
@@ -268,19 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--make-pattern", nargs=2, type=int, metavar=("R", "K"))
     group.add_argument("--blowup", type=int, metavar="T")
     group.add_argument("--contains", nargs=2, metavar=("G", "H"))
-    p.add_argument("--in", dest="infile", help="hypergraph JSON, for --blowup")
-    common(p)
+    p.add_argument("--in", dest="infile", help="hypergraph JSON, required with --blowup")
     p.set_defaults(func=cmd_hypergraph)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to a file instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input or an unreadable file is one stderr line
-    and exit code 2."""
+    """Run one command and write its text to --out or stdout; bad input or an
+    unreadable or unwritable file is one stderr line and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _emit(text, args.out)
+        return code
     except (OSError, ValueError) as exc:
         print(f"regsimplex: error: {exc}", file=sys.stderr)
         return 2

@@ -109,12 +109,6 @@ def _eliminate(rows: list[list[Quad3]]) -> list[list[Quad3]]:
     return rows[:piv_r]
 
 
-def _rank(rows: list[list[Quad3]]) -> int:
-    if not rows:
-        return 0
-    return len(_eliminate(rows))
-
-
 def solve_linear(A: list[list[Quad3]], b: list[Quad3]) -> Optional[list[Quad3]]:
     """Solve A x = b exactly; None when inconsistent.
 
@@ -156,7 +150,7 @@ def affine_span_dim(P: PointSet) -> int:
     """Rank over Q(rt3) of the difference vectors relative to the first point."""
     if len(P) == 0:
         raise ValueError("empty point set")
-    return _rank(_difference_vectors(P))
+    return len(_eliminate(_difference_vectors(P)))
 
 
 def spans_orthogonal(P: PointSet, Q: PointSet) -> bool:
@@ -171,19 +165,16 @@ def spans_orthogonal(P: PointSet, Q: PointSet) -> bool:
 def circumcenter(P: PointSet) -> Point:
     """The unique point of Aff(P) equidistant from all points of P.
 
-    Solved inside the affine span: c = p1 + sum t_j (p_j - p1) over an
-    independent subset of difference vectors, which keeps the linear system
-    square and avoids underdetermined ambient formulations.  Raises
+    Solved inside the affine span: c = p1 + sum t_j b_j, where the b_j are
+    the nonzero echelon rows of the difference vectors p_i - p1, a basis of
+    their span.  That keeps the columns of the linear system independent and
+    avoids underdetermined ambient formulations.  Raises
     ValueError("not cospherical") when no such point exists.
     """
     if len(P) == 0:
         raise ValueError("empty point set")
     diffs = _difference_vectors(P)
-    # Greedy independent subset of the difference vectors.
-    basis: list[list[Quad3]] = []
-    for d in diffs:
-        if _rank(basis + [d]) > len(basis):
-            basis.append(d)
+    basis = _eliminate(diffs)
     # Equations 2 <c - p1, d_i> = |d_i|^2 for every difference vector d_i.
     two = Quad3.of(2)
     A = [[two * _dot(bj, di) for bj in basis] for di in diffs]

@@ -14,7 +14,6 @@ from regsimplex.census import (
     count_inscribed_triangles,
     count_structured,
     coordinate_simplices,
-    is_structured_simplex,
     structured_simplices,
     tick_chord_class,
 )
@@ -104,6 +103,38 @@ def reference_coordinate_simplices(P, k, side_sq=None):
         if is_regular_simplex([P.points[i] for i in sub])
         and (side_sq is None or sq_dist(*(P.points[i] for i in sub[:2])) == side_sq)
     ]
+
+
+def is_structured_simplex(config, selection):
+    """Reference: whether k labeled points (circle, tick) are pairwise
+    equidistant.
+
+    Cross-circle distances all equal sqrt(2)*radius, so a mixed selection is
+    regular iff every same-circle pair sits at a quarter turn.  A selection
+    on a single circle (possible only for k = 3) is regular iff all three
+    pairs sit at a third of a turn.  Three points pairwise at 90 degrees on
+    one circle cannot exist, so no mixed simplex uses three points of one
+    circle.
+    """
+    if len(set(selection)) != len(selection):
+        raise ValueError("selection points must be distinct")
+    by_circle = {}
+    for ci, t in selection:
+        by_circle.setdefault(ci, []).append(t)
+    if len(by_circle) == 1:
+        (ci, ticks), = by_circle.items()
+        if len(ticks) != 3:
+            return False
+        N = config.components[ci].modulus
+        return all(tick_chord_class(N, b - a) == "third" for a, b in combinations(ticks, 2))
+    for ci, ticks in by_circle.items():
+        if len(ticks) > 2:
+            return False
+        if len(ticks) == 2:
+            N = config.components[ci].modulus
+            if tick_chord_class(N, ticks[1] - ticks[0]) != "quarter":
+                return False
+    return True
 
 
 def classify(selection):

@@ -155,6 +155,11 @@ class TestHypergraphCommand:
         assert json.loads(out)["contains"] is True
 
 
+#: Placeholders in argv for input files that a test writes first.
+CONFIG = "config.json"
+PATTERN = "pattern.json"
+
+
 def assert_one_line_error(capsys, argv) -> str:
     code = main(argv)
     out, err = capsys.readouterr()
@@ -184,14 +189,49 @@ class TestBadInput:
             ["verify", "--n", "10..3", "--r", "3"],
             ["verify", "--n", "5", "--r", "3", "2"],
             ["verify", "--n", "8", "--r", "5", "3", "--k", "4"],
+            ["count", "--in", CONFIG, "--method", "closed", "--side-sq", "1/0"],
+            ["count", "--in", CONFIG, "--method", "coords", "--side-sq", "1/0"],
+            ["count", "--in", CONFIG, "--method", "closed", "--side-sq", "0"],
+            ["count", "--in", CONFIG, "--method", "ticks", "--side-sq", "-2"],
+            ["verify", "--n", "3..40", "--r", "3", "4", "5"],
+            ["hypergraph", "--blowup", "2"],
+            ["hypergraph", "--make-pattern", "3", "3", "--in", PATTERN],
+            ["hypergraph", "--contains", PATTERN, PATTERN, "--in", PATTERN],
         ],
     )
-    def test_one_line_error(self, capsys, argv):
-        assert_one_line_error(capsys, argv)
+    def test_one_line_error(self, tmp_path, capsys, argv):
+        files = {CONFIG: ["generate", "--n", "6", "--r", "3"],
+                 PATTERN: ["hypergraph", "--make-pattern", "3", "3"]}
+        for name, command in files.items():
+            if name in argv:
+                main(command + ["--out", str(tmp_path / name)])
+        assert_one_line_error(capsys, [str(tmp_path / a) if a in files else a for a in argv])
 
     def test_r_below_k_names_r(self, capsys):
         argv = ["verify", "--n", "8", "--r", "5", "3", "--k", "4"]
         assert "--r 3: need r >= k = 4" in assert_one_line_error(capsys, argv)
+
+    def test_r_above_first_n_names_r(self, capsys):
+        argv = ["verify", "--n", "3..40", "--r", "3", "4", "5"]
+        err = assert_one_line_error(capsys, argv)
+        assert "--r 4: need n >= r, but --n starts at 3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", "6", "--r", "3"],
+            ["formula", "--which", "cor13", "--n", "36", "--r", "3"],
+            ["verify", "--n", "3", "--r", "3"],
+            ["hypergraph", "--make-pattern", "3", "3"],
+        ],
+    )
+    def test_csv_only_on_count_and_maximize(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --csv" in err
 
     @pytest.fixture
     def config_json(self, tmp_path):
