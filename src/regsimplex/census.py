@@ -13,11 +13,12 @@ side 2*radius_sq, single-circle triangles 3*radius_sq.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from operator import sub
+from typing import NamedTuple, Optional, Sequence
 
-from .geometry import PointSet, sq_dist
+from .geometry import PointSet
 from .exactnum import Quad3
 from .formulas import count_polynomial
 from .lenz import CircleConfig
@@ -28,8 +29,7 @@ OTHER = "other"
 ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     delta1: int
     delta2: int
     delta3: int
@@ -151,24 +151,23 @@ def _clique_frontiers(graph: list[int], circle: list[int], k: int):
     the prefix's circle masks, and paired says whether two prefix points
     share a circle.
     """
-    last = k - 2
+    return _extend(graph, circle, k - 2, (), (1 << len(graph)) - 1, 0, False)
 
-    def extend(prefix, cand, used, paired):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            ext = cand & graph[v]
-            if ext:
-                state = (
-                    prefix + (v,), ext, used | circle[v], paired or bool(used & low)
-                )
-                if len(prefix) == last:
-                    yield state
-                else:
-                    yield from extend(*state)
 
-    return extend((), (1 << len(graph)) - 1, 0, False)
+def _extend(graph, circle, last, prefix, cand, used, paired):
+    """The frontiers of _clique_frontiers below prefix, whose common
+    neighbors above it are cand; last is the prefix length to yield at."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        ext = cand & graph[v]
+        if ext:
+            state = (prefix + (v,), ext, used | circle[v], paired or bool(used & low))
+            if len(prefix) == last:
+                yield state
+            else:
+                yield from _extend(graph, circle, last, *state)
 
 
 def _cliques(graphs, circle: list[int], k: int):
@@ -249,17 +248,36 @@ def count_structured(
 
 def _distance_graphs(P: PointSet, k: int, side_sq: Optional[Quad3]):
     """One graph per exact squared distance in P (only side_sq, when given);
-    row i holds the larger-index neighbors as an int bitset."""
+    row i holds the larger-index neighbors as an int bitset.
+
+    P is scaled once by D, the lcm of every coordinate denominator, into
+    flat integer rows (a1, b1, a2, b2, ...) with coordinate j equal to
+    (a_j + b_j*rt3)/D.  A squared distance a + b*rt3 is then the integer
+    pair (A, B) = (D^2*a, D^2*b), which keys the graphs; side_sq matches
+    as (D^2*side_sq.a, D^2*side_sq.b), so a side whose D^2 multiple is not
+    an integer pair matches no pair of points.
+    """
     if k < 3:
         raise ValueError("need k >= 3")
     if len(P) < k:
         raise ValueError("need at least k points")
     n = len(P)
-    graphs: defaultdict[Quad3, list[int]] = defaultdict(lambda: [0] * n)
-    for i, p in enumerate(P.points):
+    D = lcm(*(q.denominator for p in P.points for x in p.coords for q in (x.a, x.b)))
+    rows = [
+        [q.numerator * (D // q.denominator) for x in p.coords for q in (x.a, x.b)]
+        for p in P.points
+    ]
+    want = None if side_sq is None else (side_sq.a * D * D, side_sq.b * D * D)
+    graphs: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * n)
+    for i, row in enumerate(rows):
         for j in range(i + 1, n):
-            side = sq_dist(p, P.points[j])
-            if side_sq is None or side == side_sq:
+            diff = map(sub, row, rows[j])
+            A = B = 0
+            for da, db in zip(diff, diff):
+                A += da * da + 3 * db * db
+                B += da * db
+            side = (A, 2 * B)
+            if want is None or side == want:
                 graphs[side][i] |= 1 << j
     return graphs.values()
 

@@ -70,9 +70,11 @@ def _choose_partition(n: int, r: int, k: int) -> tuple[int, ...]:
 
 def cmd_generate(args) -> tuple[int, str]:
     if args.odd:
+        if args.k is not None:
+            raise ValueError("--k does not go with --odd")
         config = lenz.build_odd_config(args.n, args.r)
     else:
-        partition = _choose_partition(args.n, args.r, args.k)
+        partition = _choose_partition(args.n, args.r, 3 if args.k is None else args.k)
         config = lenz.build_even_config(args.n, args.r, partition)
     return 0, _dump_json(lenz.config_to_json(config))
 
@@ -112,14 +114,29 @@ def _parse_partition(spec: Optional[str]) -> tuple[int, ...]:
         ) from None
 
 
+#: The options each formula reads; giving any other is an error.
+_FORMULA_OPTIONS = {
+    "fk": ("k", "partition"),
+    "unit": ("partition",),
+    "t2r": ("n", "r"),
+    "cor13": ("n", "r"),
+    "leading": ("n", "r", "k"),
+}
+
+
 def cmd_formula(args) -> tuple[int, str]:
+    reads = _FORMULA_OPTIONS[args.which]
+    for option in ("n", "r", "k", "partition"):
+        if getattr(args, option) is not None and option not in reads:
+            raise ValueError(f"--{option} does not go with --which {args.which}")
     if args.which in ("t2r", "cor13", "leading") and (args.n is None or args.r is None):
         raise ValueError(f"--n and --r are required for --which {args.which}")
+    k = 3 if args.k is None else args.k
     if args.which == "leading":
-        value = formulas.asymptotic_leading(args.n, args.r, args.k)
+        value = formulas.asymptotic_leading(args.n, args.r, k)
         return 0, _dump_json({"value": str(value)})
     if args.which == "fk":
-        res = formulas.eval_f_k(_parse_partition(args.partition), args.k)
+        res = formulas.eval_f_k(_parse_partition(args.partition), k)
     elif args.which == "t2r":
         res = formulas.eval_T2r_closed(args.n, args.r)
     elif args.which == "cor13":
@@ -224,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="build a configuration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, help="default 3; not with --odd")
     p.add_argument("--odd", action="store_true", help="odd-dimension skeleton")
     p.set_defaults(func=cmd_generate)
 
@@ -239,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="evaluate a closed form")
     p.add_argument("--which", choices=["fk", "t2r", "cor13", "unit", "leading"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--n", type=int, help="for t2r/cor13/leading")
+    p.add_argument("--r", type=int, help="for t2r/cor13/leading")
+    p.add_argument("--k", type=int, help="for fk/leading, default 3")
     p.add_argument("--partition", help="comma-separated entries, for fk/unit")
     p.set_defaults(func=cmd_formula)
 

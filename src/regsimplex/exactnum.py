@@ -1,16 +1,19 @@
 """Exact scalars: arbitrary-precision rationals and the field Q(rt3).
 
-``Rational`` is the standard-library :class:`fractions.Fraction`; everything
-downstream (coordinates, squared distances, radii) is built on it.  ``Quad3``
+``Rational`` is the standard-library :class:`fractions.Fraction`; radii,
+side filters and the coordinates of a ``PointSet`` are built on it.  ``Quad3``
 represents a + b*rt3 with rational a, b, which is enough to house every
 squared chord length between dodecagon vertices: 2-rt3, 1, 2, 3, 2+rt3, 4.
+The coordinate census does not compute in ``Quad3``: it scales a point set
+once to integer coordinate pairs (see ``census._distance_graphs``), so its
+squared distances are integer pairs; ``Quad3`` arithmetic serves the
+geometry lemmas and the test references.
 
 Sign determination is exact: no floating point is ever consulted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
@@ -28,17 +31,30 @@ def rational_to_str(x: Rational) -> str:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Quad3:
-    """The real number a + b*rt3 with a, b rational.
+    """The real number a + b*rt3 with a, b rational; a value, never mutated.
 
     Equality is componentwise (1 and rt3 are linearly independent over Q),
     and the ordering is the ordering of the represented reals, decided by
     exact case analysis on the signs of a and b.
     """
 
-    a: Rational
-    b: Rational
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Rational, b: Rational):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Quad3:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"Quad3{(self.a, self.b)!r}"
 
     @staticmethod
     def of(a, b=0) -> "Quad3":

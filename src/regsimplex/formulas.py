@@ -7,16 +7,14 @@ divisibility, the unit-side variant, and the asymptotic leading term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lenz import theorem12_partition
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     value: int
     argmax: Optional[tuple[tuple[int, ...], ...]] = None
     terms: Optional[tuple[int, int, int]] = None

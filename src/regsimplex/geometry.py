@@ -8,32 +8,60 @@ every quantity stays inside Q(rt3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .exactnum import Q3_ZERO, Quad3
 
 
-@dataclass(frozen=True)
 class Point:
-    coords: tuple[Quad3, ...]
+    """A point of Q(rt3)^d; a value, never mutated."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Quad3, ...]):
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Point:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"Point({self.coords!r})"
 
     def __len__(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
 class PointSet:
-    dim: int
-    points: tuple[Point, ...]
+    """Pairwise distinct points of one ambient dimension; a value, never
+    mutated."""
 
-    def __post_init__(self):
+    __slots__ = ("dim", "points")
+
+    def __init__(self, dim: int, points: tuple[Point, ...]):
+        self.dim = dim
+        self.points = points
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError("point dimension does not match ambient dimension")
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PointSet:
+            return NotImplemented
+        return self.dim == other.dim and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.points))
+
+    def __repr__(self) -> str:
+        return f"PointSet{(self.dim, self.points)!r}"
 
     def __len__(self) -> int:
         return len(self.points)

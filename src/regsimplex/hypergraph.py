@@ -9,7 +9,6 @@ unconstrained.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Union
@@ -19,20 +18,38 @@ from .geometry import PointSet
 from .lenz import CircleConfig, check_json_type
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    n: int
-    k: int
-    edges: frozenset[frozenset[int]]
+    """A k-uniform hypergraph on the vertices 0..n-1; a value, never
+    mutated."""
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 1:
-            raise ValueError(f"need n >= 0 and k >= 1, got n={self.n}, k={self.k}")
-        for e in self.edges:
-            if len(e) != self.k:
-                raise ValueError("edge of wrong size")
-            if any(not 0 <= v < self.n for v in e):
-                raise ValueError("edge vertex out of range")
+    __slots__ = ("n", "k", "edges")
+
+    def __init__(self, n: int, k: int, edges: frozenset[frozenset[int]]):
+        self.n = n
+        self.k = k
+        self.edges = edges
+        if n < 0 or k < 1:
+            raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+        if any(len(e) != k for e in edges):
+            raise ValueError("edge of wrong size")
+        # n may come from JSON, so the range check never builds range(n).
+        vertices = set().union(*edges)
+        if vertices and (min(vertices) < 0 or max(vertices) >= n):
+            raise ValueError("edge vertex out of range")
+
+    def _key(self) -> tuple:
+        return self.n, self.k, self.edges
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Hypergraph:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Hypergraph{self._key()!r}"
 
     @property
     def e(self) -> int:
@@ -56,12 +73,10 @@ class Hypergraph:
             edges = check_json_type(obj["edges"], (list,), "hypergraph JSON: edges")
         except KeyError as exc:
             raise ValueError(f"hypergraph JSON: missing key {exc.args[0]!r}") from None
-        for e in edges:
-            if type(e) is not list or any(type(v) is not int for v in e):
-                raise ValueError(
-                    "hypergraph JSON: each edge must be a list of integers"
-                )
-        return Hypergraph(n, k, frozenset(frozenset(e) for e in edges))
+        lists = all(type(e) is list for e in edges)
+        if not lists or {type(v) for e in edges for v in e} - {int}:
+            raise ValueError("hypergraph JSON: each edge must be a list of integers")
+        return Hypergraph(n, k, frozenset(map(frozenset, edges)))
 
 
 def build_simplex_hypergraph(

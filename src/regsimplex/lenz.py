@@ -12,9 +12,9 @@ differences N/12 * {1..6}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from .exactnum import Quad3, cos30_table, sin30_table, rational_to_str, rational_from_str
 from .geometry import Point, PointSet
@@ -23,21 +23,35 @@ from .geometry import Point, PointSet
 REMAINDER_ORDER = (0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11)
 
 
-@dataclass(frozen=True)
 class Component:
-    """One circle (or 2-sphere) of a configuration."""
+    """One circle (or 2-sphere) of a configuration; a value, never mutated."""
 
-    kind: str  # "circle" or "sphere2"
-    modulus: int
-    ticks: tuple[int, ...]
+    __slots__ = ("kind", "modulus", "ticks")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, modulus: int, ticks: tuple[int, ...]):
+        self.kind = kind  # "circle" or "sphere2"
+        self.modulus = modulus
+        self.ticks = ticks
         if self.kind not in ("circle", "sphere2"):
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.modulus <= 0 or self.modulus % 12 != 0:
             raise ValueError("modulus must be a positive multiple of 12")
         if len(set(t % self.modulus for t in self.ticks)) != len(self.ticks):
             raise ValueError("ticks must be distinct modulo the modulus")
+
+    def _key(self) -> tuple:
+        return self.kind, self.modulus, self.ticks
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Component:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Component{self._key()!r}"
 
     @property
     def size(self) -> int:
@@ -49,8 +63,7 @@ class Component:
         return 3 if self.kind == "sphere2" else 2
 
 
-@dataclass(frozen=True)
-class CircleConfig:
+class CircleConfig(NamedTuple):
     """r mutually orthogonal components with a common center and radius.
 
     Component i occupies ambient coordinates (2i, 2i+1); a trailing sphere2

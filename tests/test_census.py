@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -92,6 +93,28 @@ THIRDS_AND_QUARTER = CircleConfig(
         Component("circle", 12, (5,)),
     ),
 )
+
+
+@st.composite
+def affine_images(draw):
+    """(config, s, image): an embeddable configuration and the image of its
+    points under x -> s*x + t, with s a nonzero rational of denominator 3,
+    5 or 7 and t a point of Q(rt3)^d."""
+    config = draw(embeddable_configs())
+    q = draw(st.sampled_from([3, 5, 7]))
+    p = draw(st.integers(-3 * q, 3 * q).filter(lambda p: p % q))
+    s = Fraction(p, q)
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    t = [Quad3(draw(parts), draw(parts)) for _ in range(config.ambient_dim)]
+    scale = Quad3.of(s)
+    image = PointSet(
+        config.ambient_dim,
+        tuple(
+            Point(tuple(scale * x + y for x, y in zip(pt.coords, t)))
+            for pt in embed_config(config).points
+        ),
+    )
+    return config, s, image
 
 
 def reference_coordinate_simplices(P, k, side_sq=None):
@@ -422,6 +445,33 @@ class TestCoordinateCliques:
         assert sorted(coordinate_simplices(P, k, q3_side)) == expected
         assert count_brute_force(P, k, q3_side) == len(expected)
         assert brute_force_structured(config, k, side_sq).total == len(expected)
+
+    # The integer oracle scales every coordinate by D, the lcm of the
+    # coordinate denominators, and squared distances and sides by D^2.  An
+    # affine image keeps every regular simplex and scales its squared side
+    # by s^2, while its denominators (3, 5, 7 from s, up to 6 from t) make
+    # D > 1.
+    @settings(deadline=None, max_examples=30)
+    @given(affine_images(), st.integers(3, 5), st.sampled_from([None, 2, 3, "off"]))
+    def test_affine_images(self, case, k, side):
+        config, s, image = case
+        assume(config.n >= k)
+        P = embed_config(config)
+        if side == "off":
+            coords = [x for pt in image.points for x in pt.coords]
+            D = lcm(*(q.denominator for x in coords for q in (x.a, x.b)))
+            # D^2 times this side is 1/11, which no squared distance reaches
+            image_side, side_sq = Quad3.of(Fraction(1, 11 * D * D)), None
+        else:
+            side_sq = None if side is None else Quad3.of(side)
+            image_side = None if side is None else Quad3.of(s * s * side)
+        expected = reference_coordinate_simplices(image, k, image_side)
+        assert sorted(coordinate_simplices(image, k, image_side)) == expected
+        assert count_brute_force(image, k, image_side) == len(expected)
+        if side == "off":
+            assert expected == []
+        else:
+            assert len(expected) == count_brute_force(P, k, side_sq)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_unit_vectors_and_origin(self, k):

@@ -28,6 +28,13 @@ class TestGenerate:
         assert config.ambient_dim == 7
         assert config.components[-1].kind == "sphere2"
 
+    def test_even_k4_and_default_k(self, capsys):
+        _, default = run(capsys, "generate", "--n", "20", "--r", "4")
+        _, k3 = run(capsys, "generate", "--n", "20", "--r", "4", "--k", "3")
+        _, k4 = run(capsys, "generate", "--n", "20", "--r", "4", "--k", "4")
+        assert default == k3
+        assert config_from_json(json.loads(k4)).n == 20
+
     def test_round_trip_via_file(self, tmp_path, capsys):
         out_file = tmp_path / "config.json"
         main(["generate", "--n", "20", "--r", "3", "--out", str(out_file)])
@@ -81,6 +88,14 @@ class TestFormula:
             capsys, "formula", "--which", "fk", "--partition", "6,6,8", "--k", "3"
         )
         assert json.loads(out) == {"value": 524, "terms": [288, 236, 0]}
+
+    def test_fk_default_k_is_three(self, capsys):
+        _, out = run(capsys, "formula", "--which", "fk", "--partition", "6,6,8")
+        assert json.loads(out)["value"] == 524
+
+    def test_fk_k4(self, capsys):
+        argv = ["formula", "--which", "fk", "--k", "4", "--partition", "5,5,5,5"]
+        assert json.loads(run(capsys, *argv)[1])["value"] == 1921
 
     def test_unit(self, capsys):
         _, out = run(capsys, "formula", "--which", "unit", "--partition", "12,12,12")
@@ -197,6 +212,12 @@ class TestBadInput:
             ["hypergraph", "--blowup", "2"],
             ["hypergraph", "--make-pattern", "3", "3", "--in", PATTERN],
             ["hypergraph", "--contains", PATTERN, PATTERN, "--in", PATTERN],
+            ["formula", "--which", "t2r", "--n", "36", "--r", "3", "--k", "5"],
+            ["formula", "--which", "fk", "--partition", "6,6,8", "--r", "3"],
+            ["formula", "--which", "unit", "--partition", "6,6,8", "--n", "20"],
+            ["formula", "--which", "unit", "--partition", "6,6,8", "--r", "3"],
+            ["formula", "--which", "unit", "--partition", "6,6,8", "--k", "3"],
+            ["formula", "--which", "leading", "--n", "36", "--r", "3", "--partition", "1"],
         ],
     )
     def test_one_line_error(self, tmp_path, capsys, argv):
@@ -206,6 +227,20 @@ class TestBadInput:
             if name in argv:
                 main(command + ["--out", str(tmp_path / name)])
         assert_one_line_error(capsys, [str(tmp_path / a) if a in files else a for a in argv])
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["generate", "--n", "20", "--r", "3", "--odd", "--k", "9"],
+             "--k does not go with --odd"),
+            (["formula", "--which", "cor13", "--n", "36", "--r", "3", "--k", "5"],
+             "--k does not go with --which cor13"),
+            (["formula", "--which", "fk", "--partition", "6,6,8", "--n", "99"],
+             "--n does not go with --which fk"),
+        ],
+    )
+    def test_unread_option_named(self, capsys, argv, message):
+        assert message in assert_one_line_error(capsys, argv)
 
     def test_r_below_k_names_r(self, capsys):
         argv = ["verify", "--n", "8", "--r", "5", "3", "--k", "4"]
@@ -300,6 +335,10 @@ class TestBadInput:
             ({"n": -2, "k": 0, "edges": []}, "need n >= 0 and k >= 1, got n=-2, k=0"),
             ({"n": -1, "k": 3, "edges": []}, "need n >= 0 and k >= 1"),
             ({"n": 3, "k": 0, "edges": []}, "need n >= 0 and k >= 1"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, True]]}, "each edge must be a list of integers"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1]]}, "edge of wrong size"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1, 3]]}, "edge vertex out of range"),
+            ({"n": 3, "k": 3, "edges": [[-1, 0, 1]]}, "edge vertex out of range"),
         ],
     )
     def test_hypergraph_json_types(self, tmp_path, capsys, obj, message):
@@ -344,3 +383,20 @@ class TestBadInput:
         assert proc.stderr == (
             "regsimplex: error: --partition is required for --which fk and unit\n"
         )
+
+
+class TestImports:
+    def test_no_dataclasses_or_inspect(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize: about 1 MB of
+        # memory and a third of the package's import time.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys; before = set(sys.modules); "
+            "import regsimplex.cli, regsimplex.hypergraph; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        assert proc.stdout == "[]\n"

@@ -137,3 +137,33 @@ class TestSerialization:
     def test_format(self):
         assert str(Quad3.of(2, -1)) == "2+-1*rt3"
         assert str(Quad3.of(Fraction(1, 2), Fraction(1, 3))) == "1/2+1/3*rt3"
+
+
+class TestOperatorPatching:
+    # A tracer counts Quad3 arithmetic by replacing these operators on the
+    # class, so each must be defined on Quad3 itself.
+    OPS = ("__add__", "__sub__", "__mul__", "__eq__", "__lt__")
+
+    def test_operators_defined_on_class(self):
+        assert all(op in Quad3.__dict__ for op in self.OPS)
+
+    def test_patched_operators_are_used(self, monkeypatch):
+        calls = set()
+        for op in self.OPS:
+            original = Quad3.__dict__[op]
+
+            def counted(x, y, op=op, original=original):
+                calls.add(op)
+                return original(x, y)
+
+            monkeypatch.setattr(Quad3, op, counted)
+        x, y = Quad3.of(1, 2), Quad3.of(3)
+        assert x * y - x + y == Quad3.of(5, 4)
+        assert y < x
+        assert calls == set(self.OPS)
+
+    def test_value_semantics(self):
+        x = Quad3.of(Fraction(1, 2), 3)
+        assert x == Quad3(Fraction(1, 2), Fraction(3)) and x != Quad3.of(3)
+        assert len({x, Quad3.of(Fraction(2, 4), 3), Quad3.of(3)}) == 2
+        assert eval(repr(x)) == x

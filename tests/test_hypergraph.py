@@ -70,6 +70,18 @@ class TestHypergraphValidation:
     def test_smallest_sizes_accepted(self):
         assert Hypergraph(0, 1, frozenset()).e == 0
 
+    def test_huge_n_accepted(self):
+        H = Hypergraph(10**15, 3, frozenset({frozenset({0, 1, 10**15 - 1})}))
+        assert H.e == 1
+
+    def test_value_equality_and_hash(self):
+        H = make_pattern_H(3, 3)
+        same = Hypergraph(H.n, H.k, frozenset(set(H.edges)))
+        assert H == same and hash(H) == hash(same)
+        assert len({H, same, blowup(H, 2)}) == 2
+        assert H != Hypergraph(H.n + 1, H.k, H.edges)
+        assert H != Hypergraph(H.n, H.k, H.edges - {next(iter(H.edges))})
+
 
 class TestBlowup:
     def test_single_edge(self):

@@ -11,6 +11,7 @@ from regsimplex.census import (
     tick_chord_class,
 )
 from regsimplex.lenz import (
+    Component,
     build_even_config,
     build_odd_config,
     config_from_json,
@@ -138,6 +139,20 @@ class TestEmbedding:
     def test_odd_config_embeds(self):
         pts = embed_config(build_odd_config(9, 3))
         assert pts.dim == 7 and len(pts) == 9
+
+
+class TestComponentValue:
+    def test_equality_and_hash(self):
+        a = Component("circle", 12, (0, 3))
+        assert a == Component("circle", 12, (0, 3))
+        assert a != Component("circle", 24, (0, 3))
+        assert a != Component("sphere2", 12, (0, 3))
+        assert a != Component("circle", 12, (0, 4))
+        assert len({a, Component("circle", 12, (0, 3))}) == 1
+
+    def test_validates(self):
+        with pytest.raises(ValueError, match="ticks must be distinct"):
+            Component("circle", 12, (0, 12))
 
 
 class TestJsonRoundTrip:
