@@ -8,7 +8,7 @@ divisibility, the unit-side variant, and the asymptotic leading term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .lenz import theorem12_partition
@@ -77,6 +77,8 @@ def eval_corollary13(n: int, r: int) -> FormulaResult:
     """Compact value C(r,3)(n/r)^3 + (r-1)n^2/r + n/3, requiring 12r | n."""
     if r < 3:
         raise ValueError("need r >= 3")
+    if n < r:
+        raise ValueError("need n >= r")
     if n % (12 * r) != 0:
         raise ValueError("n must be divisible by 12r")
     m = n // r
@@ -97,6 +99,8 @@ def asymptotic_leading(n: int, r: int, k: int) -> Fraction:
     """Exact rational leading term C(r,k)(n/r)^k."""
     if not r >= k >= 3:
         raise ValueError("need r >= k >= 3")
+    if n < r:
+        raise ValueError("need n >= r")
     return comb(r, k) * Fraction(n, r) ** k
 
 
@@ -121,8 +125,11 @@ def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
     """The maximum of f_k over all partitions of n into r classes, with the
     full tie set as nondecreasing vectors.
 
-    Every maximizer has spread max - min <= 4, so all its entries lie within
-    4 of n/r, and only that fixed set of vectors is enumerated.
+    Every maximizer has spread max - min <= 4, so only the vectors of spread
+    <= 4 are enumerated.  The least entry a is at most n/r and the greatest,
+    at most a + 4, is at least n/r, so a runs from max(0, ceil(n/r) - 4) to
+    floor(n/r) and the other r - 1 entries lie in [a, a + 4].  The vectors
+    come in lexicographic order, which is the order of the tie set.
 
     Exchange lemma.  Let v have spread D = b - a >= 5, where a = min(v) and
     b = max(v), and let v' move 4 points from the b-class to the a-class.
@@ -153,12 +160,13 @@ def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
         raise ValueError("need r >= k >= 3")
     if n < k:
         raise ValueError("need n >= k")
-    base = Fraction(n, r)
     best, argmax = -1, []
-    for vec in _nondecreasing_vectors(n, r, max(0, ceil(base - 4)), floor(base + 4)):
-        value = eval_f_k(vec, k).value
-        if value > best:
-            best, argmax = value, [vec]
-        elif value == best:
-            argmax.append(vec)
+    for a in range(max(0, -(-n // r) - 4), n // r + 1):
+        for rest in _nondecreasing_vectors(n - a, r - 1, a, a + 4):
+            vec = (a,) + rest
+            value = eval_f_k(vec, k).value
+            if value > best:
+                best, argmax = value, [vec]
+            elif value == best:
+                argmax.append(vec)
     return FormulaResult(value=best, argmax=tuple(argmax))

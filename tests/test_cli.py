@@ -242,6 +242,16 @@ class TestBadInput:
     def test_unread_option_named(self, capsys, argv, message):
         assert message in assert_one_line_error(capsys, argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formula", "--which", "cor13", "--n", "-36", "--r", "3"],
+            ["formula", "--which", "leading", "--n", "-10", "--r", "3", "--k", "3"],
+        ],
+    )
+    def test_formula_needs_n_at_least_r(self, capsys, argv):
+        assert "need n >= r" in assert_one_line_error(capsys, argv)
+
     def test_r_below_k_names_r(self, capsys):
         argv = ["verify", "--n", "8", "--r", "5", "3", "--k", "4"]
         assert "--r 3: need r >= k = 4" in assert_one_line_error(capsys, argv)

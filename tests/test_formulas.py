@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, strategies as st
 
+from regsimplex import formulas
 from regsimplex.census import count_structured
 from regsimplex.formulas import (
     _good_pair_term,
@@ -77,6 +79,34 @@ def exhaustive_maximum(n, r, k):
     values = {vec: eval_f_k(vec, k).value for vec in all_partitions(n, r)}
     best = max(values.values())
     return best, tuple(sorted(vec for vec, v in values.items() if v == best))
+
+
+def box_vectors(n, r):
+    """Reference enumeration of the +-4 box around n/r, which holds every
+    vector of spread <= 4: every nondecreasing length-r vector summing to n
+    with each entry within 4 of n/r, in lexicographic order."""
+    base = Fraction(n, r)
+    values = range(max(0, ceil(base - 4)), floor(base + 4) + 1)
+    return [vec for vec in combinations_with_replacement(values, r) if sum(vec) == n]
+
+
+def box_maximum(n, r, k):
+    """Reference (value, argmax in enumeration order) of f_k over the box."""
+    values = [(vec, eval_f_k(vec, k).value) for vec in box_vectors(n, r)]
+    best = max(v for _, v in values)
+    return best, tuple(vec for vec, v in values if v == best)
+
+
+def box_sample():
+    """Seeded (n, r, k) cases for r = 3..10, k = 3..min(r, 6), n <= 200,
+    with the smallest n of each (r, k) included."""
+    rng = random.Random(13)
+    return [
+        (n, r, k)
+        for r in range(3, 11)
+        for k in range(3, min(r, 6) + 1)
+        for n in (k, rng.randint(k, 40), rng.randint(41, 200))
+    ]
 
 
 @st.composite
@@ -173,6 +203,11 @@ class TestCorollary13:
         with pytest.raises(ValueError):
             eval_corollary13(37, 3)
 
+    @pytest.mark.parametrize("n", [-36, 0, 2])
+    def test_needs_n_at_least_r(self, n):
+        with pytest.raises(ValueError, match="need n >= r"):
+            eval_corollary13(n, 3)
+
 
 class TestMaximize:
     def test_small_cases(self):
@@ -181,12 +216,31 @@ class TestMaximize:
         res = maximize_f_k(36, 3, 3)
         assert res.value == 2604 and res.argmax == ((12, 12, 12),)
 
-    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
     def test_matches_exhaustive_search(self, r):
         for k in range(3, r + 1):
             for n in range(k, 25):
                 res = maximize_f_k(n, r, k)
                 assert (res.value, res.argmax) == exhaustive_maximum(n, r, k), (n, r, k)
+
+    def test_enumerates_spread_at_most_4_of_box(self, monkeypatch):
+        seen = []
+
+        def recording_eval_f_k(vec, k):
+            seen.append(vec)
+            return eval_f_k(vec, k)
+
+        monkeypatch.setattr(formulas, "eval_f_k", recording_eval_f_k)
+        for n, r, _ in box_sample():
+            seen.clear()
+            maximize_f_k(n, r, 3)
+            expected = [v for v in box_vectors(n, r) if max(v) - min(v) <= 4]
+            assert seen == expected, (n, r)
+
+    def test_matches_box_reference(self):
+        for n, r, k in box_sample():
+            res = maximize_f_k(n, r, k)
+            assert (res.value, res.argmax) == box_maximum(n, r, k), (n, r, k)
 
     def test_needs_n_at_least_k(self):
         with pytest.raises(ValueError, match="need n >= k"):
@@ -288,3 +342,8 @@ class TestAsymptoticLeading:
 
     def test_exact_rational(self):
         assert asymptotic_leading(10, 3, 3) == Fraction(1000, 27)
+
+    @pytest.mark.parametrize("n", [-10, 0, 2])
+    def test_needs_n_at_least_r(self, n):
+        with pytest.raises(ValueError, match="need n >= r"):
+            asymptotic_leading(n, 3, 3)
