@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import PointSet
@@ -108,7 +107,8 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
     compatible-pair graph joins points on different circles, and points on
     one circle a quarter turn apart; the third-turn graph joins points on
     one circle a third of a turn apart.  circle[i] has a bit for every
-    point on the circle of point i.
+    point on the circle of point i.  Each circle classifies its N tick
+    differences once with tick_chord_class and looks pairs up in that table.
     """
     compatible: list[int] = []
     thirds: list[int] = []
@@ -116,13 +116,15 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
     n = config.n
     start = 0
     for comp in config.components:
+        N, ticks = comp.modulus, comp.ticks
+        chord = [tick_chord_class(N, dt) for dt in range(N)]
         end = start + comp.size
         later_circles = ((1 << n) - 1) ^ ((1 << end) - 1)
         mask = ((1 << end) - 1) ^ ((1 << start) - 1)
-        for a, t in enumerate(comp.ticks):
+        for a, t in enumerate(ticks):
             quarter = third = 0
             for b in range(a + 1, comp.size):
-                kind = tick_chord_class(comp.modulus, comp.ticks[b] - t)
+                kind = chord[(ticks[b] - t) % N]
                 if kind == QUARTER:
                     quarter |= 1 << (start + b)
                 elif kind == THIRD:
@@ -142,19 +144,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _clique_frontiers(graph: list[int], circle: list[int], k: int):
+def _clique_frontiers(graph: list[int], k: int):
     """Walk the k-cliques of graph in index order, one level short.
 
-    Yields (prefix, ext, used, paired) for every (k-1)-clique prefix that
-    extends at all.  ext is the bitset of common neighbors above the
-    prefix; each of its bits completes one k-clique.  used is the union of
-    the prefix's circle masks, and paired says whether two prefix points
-    share a circle.
+    Yields (prefix, ext) for every (k-1)-clique prefix that extends at all:
+    ext is the bitset of common neighbors above the prefix, and each of its
+    bits completes one k-clique.
     """
-    return _extend(graph, circle, k - 2, (), (1 << len(graph)) - 1, 0, False)
+    return _extend(graph, k - 2, (), (1 << len(graph)) - 1)
 
 
-def _extend(graph, circle, last, prefix, cand, used, paired):
+def _extend(graph, last, prefix, cand):
     """The frontiers of _clique_frontiers below prefix, whose common
     neighbors above it are cand; last is the prefix length to yield at."""
     while cand:
@@ -163,19 +163,59 @@ def _extend(graph, circle, last, prefix, cand, used, paired):
         v = low.bit_length() - 1
         ext = cand & graph[v]
         if ext:
-            state = (prefix + (v,), ext, used | circle[v], paired or bool(used & low))
             if len(prefix) == last:
-                yield state
+                yield prefix + (v,), ext
             else:
-                yield from _extend(graph, circle, last, *state)
+                yield from _extend(graph, last, prefix + (v,), ext)
 
 
-def _cliques(graphs, circle: list[int], k: int):
+def _cliques(graphs, k: int):
     """Every k-clique of each graph, as a tuple of ascending indices."""
     for graph in graphs:
-        for prefix, ext, _, _ in _clique_frontiers(graph, circle, k):
+        for prefix, ext in _clique_frontiers(graph, k):
             for w in _bits(ext):
                 yield prefix + (w,)
+
+
+def _count_cliques(graph: list[int], left: int, cand: int) -> int:
+    """Number of left-cliques of graph among the points of the bitset cand
+    (left >= 2), counted one level short by adding popcounts."""
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        ext = cand & graph[low.bit_length() - 1]
+        if ext:
+            total += ext.bit_count() if left == 2 else _count_cliques(graph, left - 1, ext)
+    return total
+
+
+def _count_by_circles(
+    graph: list[int], circle: list[int], left: int, cand: int, used: int
+) -> tuple[int, int]:
+    """_count_cliques split as (delta1, delta2): the left-cliques among
+    cand that extend a prefix with no two points on one circle, whose
+    circle masks make up used.  delta2 counts those where two points of
+    the prefix and the clique share a circle."""
+    d1 = d2 = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        ext = cand & graph[v]
+        if not ext:
+            continue
+        if used & low:  # v shares a circle with the prefix
+            d2 += ext.bit_count() if left == 2 else _count_cliques(graph, left - 1, ext)
+        elif left == 2:
+            same = (ext & (used | circle[v])).bit_count()
+            d1 += ext.bit_count() - same
+            d2 += same
+        else:
+            e1, e2 = _count_by_circles(graph, circle, left - 1, ext, used | circle[v])
+            d1 += e1
+            d2 += e2
+    return d1, d2
 
 
 def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
@@ -184,9 +224,9 @@ def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
     and, for k = 3, the triangles of the third-turn graph."""
     if k < 3:
         raise ValueError("need k >= 3")
-    compatible, thirds, circle = _pair_graphs(config)
+    compatible, thirds, _ = _pair_graphs(config)
     graphs = (compatible, thirds) if k == 3 else (compatible,)
-    return list(_cliques(graphs, circle, k))
+    return list(_cliques(graphs, k))
 
 
 def brute_force_structured(
@@ -197,26 +237,19 @@ def brute_force_structured(
     Three points on one circle are never pairwise a quarter turn apart, so
     the k-cliques of the compatible-pair graph (see _pair_graphs) are
     exactly the mixed simplices; for k = 3 the triangles of the third-turn
-    graph are the single-circle ones.  The walk stops one level short and
-    adds popcounts: a completing point makes the simplex delta2 when the
-    prefix already has a same-circle pair or the point lies on a circle the
-    prefix uses, and delta1 otherwise.
+    graph are the single-circle ones.  A clique is delta2 when two of its
+    points share a circle, and delta1 otherwise.
     """
     if k < 3:
         raise ValueError("need k >= 3")
     allow_mixed, allow_single = _side_modes(config, side_sq)
     compatible, thirds, circle = _pair_graphs(config)
     d1 = d2 = d3 = 0
+    everyone = (1 << config.n) - 1
     if allow_mixed:
-        for _, ext, used, paired in _clique_frontiers(compatible, circle, k):
-            hits = ext.bit_count()
-            same = hits if paired else (ext & used).bit_count()
-            d1 += hits - same
-            d2 += same
+        d1, d2 = _count_by_circles(compatible, circle, k, everyone, 0)
     if k == 3 and allow_single:
-        d3 = sum(
-            ext.bit_count() for _, ext, _, _ in _clique_frontiers(thirds, circle, 3)
-        )
+        d3 = _count_cliques(thirds, 3, everyone)
     return CountReport(d1, d2, d3)
 
 
@@ -246,55 +279,88 @@ def count_structured(
     return CountReport(d1, d2, d3)
 
 
-def _distance_graphs(P: PointSet, k: int, side_sq: Optional[Quad3]):
-    """One graph per exact squared distance in P (only side_sq, when given);
-    row i holds the larger-index neighbors as an int bitset.
+def _distance_graphs(P: PointSet, side_sq: Optional[Quad3]) -> dict:
+    """One graph per exact squared distance in P (only side_sq, when given),
+    keyed by that distance; row i holds the larger-index neighbors as an
+    int bitset.
 
-    P is scaled once by D, the lcm of every coordinate denominator, into
-    flat integer rows (a1, b1, a2, b2, ...) with coordinate j equal to
-    (a_j + b_j*rt3)/D.  A squared distance a + b*rt3 is then the integer
-    pair (A, B) = (D^2*a, D^2*b), which keys the graphs; side_sq matches
-    as (D^2*side_sq.a, D^2*side_sq.b), so a side whose D^2 multiple is not
-    an integer pair matches no pair of points.
+    P is scaled once by D, the lcm of every coordinate denominator, so that
+    coordinate c of a point is (a_c + b_c*rt3)/D with integers a_c, b_c.  A
+    squared distance a + b*rt3 is then the integer pair (A, B) =
+    (D^2*a, D^2*b), which keys the graphs; side_sq matches as
+    (D^2*side_sq.a, D^2*side_sq.b), so a side whose D^2 multiple is not an
+    integer pair matches no pair of points.  Each point keeps its nonzero
+    scaled coordinates and its squared norm as such a pair.  Two points
+    that share no nonzero coordinate are at squared distance norm_i +
+    norm_j, so those pairs join a graph in bulk, one bitset per row and
+    norm; only pairs that share a coordinate take a dot product.
     """
-    if k < 3:
-        raise ValueError("need k >= 3")
-    if len(P) < k:
-        raise ValueError("need at least k points")
     n = len(P)
-    D = lcm(*(q.denominator for p in P.points for x in p.coords for q in (x.a, x.b)))
-    rows = [
-        [q.numerator * (D // q.denominator) for x in p.coords for q in (x.a, x.b)]
+    ratios = [
+        [(x.a.as_integer_ratio(), x.b.as_integer_ratio()) for x in p.coords]
         for p in P.points
     ]
-    want = None if side_sq is None else (side_sq.a * D * D, side_sq.b * D * D)
+    D = lcm(*(den for row in ratios for pair in row for _, den in pair))
+    supports: list[dict[int, tuple[int, int]]] = []
+    norms: list[tuple[int, int]] = []
+    sharing: defaultdict[int, int] = defaultdict(int)  # coordinate -> points
+    by_norm: defaultdict[tuple[int, int], int] = defaultdict(int)  # norm -> points
+    for i, row in enumerate(ratios):
+        support = {}
+        for c, ((a, da), (b, db)) in enumerate(row):
+            if a or b:
+                support[c] = a * (D // da), b * (D // db)
+                sharing[c] |= 1 << i
+        norm = (
+            sum(a * a + 3 * b * b for a, b in support.values()),
+            2 * sum(a * b for a, b in support.values()),
+        )
+        supports.append(support)
+        norms.append(norm)
+        by_norm[norm] |= 1 << i
     graphs: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * n)
-    for i, row in enumerate(rows):
-        for j in range(i + 1, n):
-            diff = map(sub, row, rows[j])
-            A = B = 0
-            for da, db in zip(diff, diff):
-                A += da * da + 3 * db * db
-                B += da * db
-            side = (A, 2 * B)
-            if want is None or side == want:
-                graphs[side][i] |= 1 << j
-    return graphs.values()
+    for i, (support, (A, B)) in enumerate(zip(supports, norms)):
+        later = ((1 << n) - 1) >> (i + 1) << (i + 1)
+        shared = 0
+        for c in support:
+            shared |= sharing[c]
+        shared &= later
+        apart = later ^ shared
+        if apart:
+            for (A2, B2), members in by_norm.items():
+                if members & apart:
+                    graphs[A + A2, B + B2][i] |= members & apart
+        for j in _bits(shared):
+            other = supports[j]
+            dot_a = dot_b = 0
+            for c, (a, b) in support.items():
+                if c in other:
+                    a2, b2 = other[c]
+                    dot_a += a * a2 + 3 * b * b2
+                    dot_b += a * b2 + b * a2
+            A2, B2 = norms[j]
+            graphs[A + A2 - 2 * dot_a, B + B2 - 2 * dot_b][i] |= 1 << j
+    if side_sq is None:
+        return graphs
+    want = (side_sq.a * D * D, side_sq.b * D * D)
+    return {want: graphs[want]}
 
 
 def count_brute_force(P: PointSet, k: int, side_sq: Optional[Quad3] = None) -> int:
     """Number of k-subsets of P that are regular simplices, by coordinates:
-    the k-cliques of the distance graphs, walked with zero circle masks.
-    With side_sq given, only simplices of that exact squared side count."""
-    zeros = [0] * len(P)
-    graphs = _distance_graphs(P, k, side_sq)
-    return sum(
-        e.bit_count() for g in graphs for _, e, _, _ in _clique_frontiers(g, zeros, k)
-    )
+    the k-cliques of the distance graphs.  With side_sq given, only
+    simplices of that exact squared side count."""
+    if k < 3:
+        raise ValueError("need k >= 3")
+    everyone = (1 << len(P)) - 1
+    graphs = _distance_graphs(P, side_sq).values()
+    return sum(_count_cliques(graph, k, everyone) for graph in graphs)
 
 
 def coordinate_simplices(
     P: PointSet, k: int, side_sq: Optional[Quad3] = None
 ) -> list[tuple[int, ...]]:
     """The cliques count_brute_force counts, as ascending indices into P.points."""
-    return list(_cliques(_distance_graphs(P, k, side_sq), [0] * len(P), k))
+    if k < 3:
+        raise ValueError("need k >= 3")
+    return list(_cliques(_distance_graphs(P, side_sq).values(), k))

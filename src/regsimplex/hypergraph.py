@@ -200,7 +200,7 @@ def _has_clique(shadow: list[int], size: int) -> bool:
     if size <= 1:
         return len(shadow) >= size
     upper = [row >> (v + 1) << (v + 1) for v, row in enumerate(shadow)]
-    return next(_clique_frontiers(upper, [0] * len(upper), size), None) is not None
+    return next(_clique_frontiers(upper, size), None) is not None
 
 
 def _clique_number(shadow: list[int]) -> int:

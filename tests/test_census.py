@@ -191,6 +191,39 @@ def reference_census(config, k, side_sq=None):
     )
 
 
+def pairwise_pair_graphs(config):
+    """Reference: the rows of census._pair_graphs, built pair by pair with
+    tick_chord_class."""
+    points = config.labeled_points()
+    n = len(points)
+    compatible, thirds, circle = [0] * n, [0] * n, [0] * n
+    for i, (ci, t) in enumerate(points):
+        for j, (cj, u) in enumerate(points):
+            if ci == cj:
+                circle[i] |= 1 << j
+            if j <= i:
+                continue
+            kind = "quarter" if ci != cj else tick_chord_class(
+                config.components[ci].modulus, u - t
+            )
+            if kind == "quarter":
+                compatible[i] |= 1 << j
+            elif kind == "third":
+                thirds[i] |= 1 << j
+    return compatible, thirds, circle
+
+
+def scaled_sq_dist(P, i, j):
+    """Reference: D^2 * sq_dist(p_i, p_j) as an integer pair, with D the lcm
+    of every coordinate denominator of P."""
+    coords = [x for pt in P.points for x in pt.coords]
+    D = lcm(*(q.denominator for x in coords for q in (x.a, x.b)))
+    sq = sq_dist(P.points[i], P.points[j])
+    key = (sq.a * D * D, sq.b * D * D)
+    assert all(x.denominator == 1 for x in key)
+    return tuple(map(int, key))
+
+
 class TestTickChordClass:
     def test_quarter(self):
         assert tick_chord_class(12, 3) == "quarter"
@@ -417,6 +450,22 @@ class TestCliqueCount:
         with pytest.raises(AssertionError):
             count_structured(config, 4)
 
+    @given(tick_configs())
+    def test_chord_table_matches_pairwise_classes(self, config):
+        assert census._pair_graphs(config) == pairwise_pair_graphs(config)
+
+    # The lister is the reference for the counting walk, so the bounds keep
+    # the listed cliques few (at most 6 points on each of 5 circles).
+    @given(tick_configs(max_circles=5, max_size=6), st.integers(3, 6))
+    def test_counting_walk_matches_lister(self, config, k):
+        points = config.labeled_points()
+        kinds = [
+            classify([points[i] for i in clique])
+            for clique in structured_simplices(config, k)
+        ]
+        expected = CountReport(*map(kinds.count, ("delta1", "delta2", "delta3")))
+        assert brute_force_structured(config, k) == expected
+
     def test_k_below_three_rejected(self):
         config = build_even_config(6, 3, (2, 2, 2))
         with pytest.raises(ValueError):
@@ -489,6 +538,36 @@ class TestCoordinateCliques:
         assert coordinate_simplices(P, k, side_sq=one) == []
         G = build_simplex_hypergraph(P, k)
         assert G.n == 6 and G.edges == {frozenset(sub) for sub in expected}
+
+    def check_distance_graphs(self, P):
+        """Every pair of P lies in exactly one distance graph, keyed by its
+        scaled squared distance, and a side filter keeps only its key."""
+        graphs = census._distance_graphs(P, None)
+        n = len(P)
+        for i, j in combinations(range(n), 2):
+            keys = [key for key, rows in graphs.items() if rows[i] >> j & 1]
+            assert keys == [scaled_sq_dist(P, i, j)]
+        assert all(row >> (i + 1) << (i + 1) == row
+                   for rows in graphs.values() for i, row in enumerate(rows))
+        if n >= 2:
+            side = sq_dist(*P.points[:2])
+            filtered = census._distance_graphs(P, side)
+            key = scaled_sq_dist(P, 0, 1)
+            assert filtered == {key: graphs[key]}
+
+    # Affine images have dense coordinates, so their pairs share nonzero
+    # ones and take the dot-product path.
+    @settings(deadline=None, max_examples=30)
+    @given(affine_images())
+    def test_distance_graphs_partition_dense_pairs(self, case):
+        self.check_distance_graphs(case[2])
+
+    # Points on different circles share no nonzero coordinate, so those
+    # pairs join their graph in bulk.
+    @settings(deadline=None, max_examples=30)
+    @given(embeddable_configs())
+    def test_distance_graphs_partition_disjoint_supports(self, config):
+        self.check_distance_graphs(embed_config(config))
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_k_below_three_rejected(self, k):

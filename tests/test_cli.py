@@ -67,6 +67,17 @@ class TestCount:
         )
         assert json.loads(out)["total"] == 2592
 
+    def test_k_above_n_counts_zero_on_every_route(self, config_file, capsys):
+        # 36 points hold no 40-point simplex, and every route says so
+        outputs = {
+            method: run(capsys, "count", "--in", config_file, "--method", method,
+                        "--k", "40", "--csv")
+            for method in ("coords", "ticks", "closed")
+        }
+        assert outputs == {
+            "coords": (0, "0\n"), "ticks": (0, "0,0,0,0\n"), "closed": (0, "0,0,0,0\n"),
+        }
+
     def test_worker_count_does_not_change_bytes(self, config_file, capsys):
         # --workers is accepted and ignored: the tick census has no pool
         outputs = {
