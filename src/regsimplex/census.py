@@ -177,6 +177,45 @@ def _cliques(graphs, k: int):
                 yield prefix + (w,)
 
 
+def _twin_classes(
+    upper: list[int], circle: list[int]
+) -> tuple[int, list[int], list[int]]:
+    """False-twin classes of a graph from _pair_graphs, whose upper rows
+    join every pair of points on different circles.
+
+    A point's full row is then every point off its circle plus its
+    same-circle neighbours, so points with equal open neighbourhoods are
+    those with one circle and one same-circle row.  Returns the bitset of
+    class representatives (the least index of each class), sizes (sizes[v]
+    is the class size of representative v) and the unary weight planes:
+    planes[j] holds the representatives of classes with more than j + 1
+    members, so a bitset x of representatives stands for x.bit_count()
+    points plus one popcount of x & plane per plane.
+    """
+    lower = [0] * len(upper)  # same-circle neighbours below, complete at i
+    sizes = [0] * len(upper)
+    planes: list[int] = []
+    classes: dict[tuple[int, int], int] = {}  # (row, circle) -> representative
+    reps = 0
+    for i, (row, mask) in enumerate(zip(upper, circle)):
+        row &= mask
+        rep = classes.setdefault((row | lower[i], mask), i)
+        twins = sizes[rep]
+        sizes[rep] = twins + 1
+        if not twins:
+            reps |= 1 << i
+        elif twins > len(planes):
+            planes.append(1 << rep)
+        else:
+            planes[twins - 1] |= 1 << rep
+        bit = 1 << i
+        while row:
+            low = row & -row
+            row ^= low
+            lower[low.bit_length() - 1] |= bit
+    return reps, sizes, planes
+
+
 def _count_cliques(graph: list[int], left: int, cand: int) -> int:
     """Number of left-cliques of graph among the points of the bitset cand
     (left >= 2), counted one level short by adding popcounts."""
@@ -190,11 +229,34 @@ def _count_cliques(graph: list[int], left: int, cand: int) -> int:
     return total
 
 
+def _count_weighted(
+    graph: list[int], left: int, cand: int, sizes: list[int], planes: list[int]
+) -> int:
+    """_count_cliques over class representatives (see _twin_classes): each
+    left-clique among cand counts the product of its class sizes."""
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        ext = cand & graph[v]
+        if not ext:
+            continue
+        if left > 2:
+            count = _count_weighted(graph, left - 1, ext, sizes, planes)
+        else:
+            count = ext.bit_count()
+            for plane in planes:
+                count += (ext & plane).bit_count()
+        total += count * sizes[v]
+    return total
+
+
 def _count_by_circles(
-    graph: list[int], circle: list[int], left: int, cand: int, used: int
+    graph: list[int], circle: list[int], left: int, cand: int, used: int, sizes, planes
 ) -> tuple[int, int]:
-    """_count_cliques split as (delta1, delta2): the left-cliques among
-    cand that extend a prefix with no two points on one circle, whose
+    """_count_weighted split as (delta1, delta2): the weighted left-cliques
+    among cand that extend a prefix with no two points on one circle, whose
     circle masks make up used.  delta2 counts those where two points of
     the prefix and the clique share a circle."""
     d1 = d2 = 0
@@ -205,16 +267,21 @@ def _count_by_circles(
         ext = cand & graph[v]
         if not ext:
             continue
-        if used & low:  # v shares a circle with the prefix
-            d2 += ext.bit_count() if left == 2 else _count_cliques(graph, left - 1, ext)
-        elif left == 2:
-            same = (ext & (used | circle[v])).bit_count()
-            d1 += ext.bit_count() - same
-            d2 += same
+        if left == 2:
+            same = ext if used & low else ext & (used | circle[v])
+            e1, e2 = ext.bit_count(), same.bit_count()
+            for plane in planes:
+                e1 += (ext & plane).bit_count()
+                e2 += (same & plane).bit_count()
+            e1 -= e2
+        elif used & low:  # v shares a circle with the prefix
+            e1, e2 = 0, _count_weighted(graph, left - 1, ext, sizes, planes)
         else:
-            e1, e2 = _count_by_circles(graph, circle, left - 1, ext, used | circle[v])
-            d1 += e1
-            d2 += e2
+            e1, e2 = _count_by_circles(
+                graph, circle, left - 1, ext, used | circle[v], sizes, planes
+            )
+        d1 += e1 * sizes[v]
+        d2 += e2 * sizes[v]
     return d1, d2
 
 
@@ -245,11 +312,11 @@ def brute_force_structured(
     allow_mixed, allow_single = _side_modes(config, side_sq)
     compatible, thirds, circle = _pair_graphs(config)
     d1 = d2 = d3 = 0
-    everyone = (1 << config.n) - 1
     if allow_mixed:
-        d1, d2 = _count_by_circles(compatible, circle, k, everyone, 0)
+        reps, sizes, planes = _twin_classes(compatible, circle)
+        d1, d2 = _count_by_circles(compatible, circle, k, reps, 0, sizes, planes)
     if k == 3 and allow_single:
-        d3 = _count_cliques(thirds, 3, everyone)
+        d3 = _count_cliques(thirds, 3, (1 << config.n) - 1)
     return CountReport(d1, d2, d3)
 
 

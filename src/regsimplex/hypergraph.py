@@ -65,7 +65,8 @@ class Hypergraph:
     @staticmethod
     def from_json(obj: dict) -> "Hypergraph":
         """Parse an object with integers n and k and a list of edges, each a
-        list of integer vertices; bad input raises ValueError."""
+        list of distinct integer vertices, no two edges alike; bad input
+        raises ValueError."""
         check_json_type(obj, (dict,), "hypergraph JSON")
         try:
             n = check_json_type(obj["n"], (int,), "hypergraph JSON: n")
@@ -76,7 +77,13 @@ class Hypergraph:
         lists = all(type(e) is list for e in edges)
         if not lists or {type(v) for e in edges for v in e} - {int}:
             raise ValueError("hypergraph JSON: each edge must be a list of integers")
-        return Hypergraph(n, k, frozenset(map(frozenset, edges)))
+        sets = list(map(frozenset, edges))
+        if list(map(len, sets)) != list(map(len, edges)):
+            raise ValueError("hypergraph JSON: repeated vertex in an edge")
+        unique = frozenset(sets)
+        if len(unique) != len(sets):
+            raise ValueError("hypergraph JSON: repeated edge")
+        return Hypergraph(n, k, unique)
 
 
 def build_simplex_hypergraph(
@@ -137,12 +144,15 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     degree, intersected with the shadow of the image of every placed
     H-neighbour and the link of the image of e - hv for every edge e the
     step closes; they are tried lowest first.
+    Only the vertices that lie in an edge are indexed (see _support): once
+    H.n <= G.n, an isolated H-vertex can take any unused G-vertex.
     Intended for desk scale (v(H) up to ~16, v(G) up to ~40).
     """
     if G.k != H.k:
         raise ValueError("uniformities must match")
     if H.n > G.n or H.e > G.e:
         return False
+    G, H = _support(G), _support(H)
     g_deg, g_shadow, link = _index(G)
     h_deg, h_shadow, _ = _index(H)
     if not _has_clique(g_shadow, _clique_number(h_shadow)):
@@ -168,6 +178,17 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
         placed |= 1 << hv
     shadow = {1 << v: row for v, row in enumerate(g_shadow)}
     return _place(plan, 0, [0] * H.n, (1 << G.n) - 1, shadow, link)
+
+
+def _support(F: Hypergraph) -> Hypergraph:
+    """F on the vertices that lie in an edge, relabelled 0..m-1 in order;
+    F itself when every vertex does."""
+    vertices = set().union(*F.edges)
+    if len(vertices) == F.n:
+        return F
+    label = {v: i for i, v in enumerate(sorted(vertices))}.__getitem__
+    edges = frozenset(frozenset(map(label, e)) for e in F.edges)
+    return Hypergraph(len(vertices), F.k, edges)
 
 
 def _mask(vertices) -> int:

@@ -224,6 +224,39 @@ def scaled_sq_dist(P, i, j):
     return tuple(map(int, key))
 
 
+# False-twin classes of sizes 1 to 4 (see census._twin_classes).  On the
+# first circle 0 and 6 share the quarter partner 3, and 13 (= 1), -17
+# (= 7) and 2 have none.  On the second, 0 and 12 share the partners 6 and
+# 18, which share 0 and 12, and 1, 2, 4 and 29 (= 5) have none.  The third
+# circle is a third-turn triangle with no quarter pair, the fourth a
+# single point.
+TWIN_CLASSES = CircleConfig(
+    8,
+    Fraction(1),
+    (
+        Component("circle", 12, (0, 6, 13, -17, 3, 2)),
+        Component("circle", 24, (0, 6, 12, 18, 1, 2, 4, 29)),
+        Component("circle", 12, (0, 4, 8)),
+        Component("circle", 12, (5,)),
+    ),
+)
+
+
+def transposed_twin_classes(config):
+    """Reference: the point classes of equal full compatible-pair rows, each
+    full row the upper row of _pair_graphs plus the bits of its transpose."""
+    upper, _, _ = census._pair_graphs(config)
+    full = list(upper)
+    for i, row in enumerate(upper):
+        for j in range(i + 1, len(upper)):
+            if row >> j & 1:
+                full[j] |= 1 << i
+    classes = {}
+    for i, row in enumerate(full):
+        classes.setdefault(row, []).append(i)
+    return full, list(classes.values())
+
+
 class TestTickChordClass:
     def test_quarter(self):
         assert tick_chord_class(12, 3) == "quarter"
@@ -465,6 +498,49 @@ class TestCliqueCount:
         ]
         expected = CountReport(*map(kinds.count, ("delta1", "delta2", "delta3")))
         assert brute_force_structured(config, k) == expected
+
+    @given(tick_configs())
+    @example(TWIN_CLASSES)
+    def test_twin_classes_are_exact(self, config):
+        upper, _, circle = census._pair_graphs(config)
+        full, classes = transposed_twin_classes(config)
+        reps, sizes, planes = census._twin_classes(upper, circle)
+        assert reps == sum(1 << members[0] for members in classes)
+        expected_sizes = [0] * config.n
+        for members in classes:
+            expected_sizes[members[0]] = len(members)
+        assert sizes == expected_sizes
+        largest = max(map(len, classes), default=1)
+        assert planes == [
+            sum(1 << members[0] for members in classes if len(members) > j)
+            for j in range(1, largest)
+        ]
+        for members in classes:
+            assert len({circle[i] for i in members}) == 1
+            assert not any(full[a] >> b & 1 for a, b in combinations(members, 2))
+
+    def test_twin_example_has_large_classes(self):
+        _, classes = transposed_twin_classes(TWIN_CLASSES)
+        assert sorted(map(len, classes)) == [1, 1, 2, 2, 2, 3, 3, 4]
+
+    # The full graph with unit weights is the reference for the quotient.
+    @given(tick_configs(max_circles=5, max_size=6), st.integers(3, 6))
+    @example(TWIN_CLASSES, 3)
+    @example(TWIN_CLASSES, 5)
+    def test_weighted_walk_matches_plain_walk(self, config, k):
+        upper, _, circle = census._pair_graphs(config)
+        reps, sizes, planes = census._twin_classes(upper, circle)
+        quotient = census._count_by_circles(upper, circle, k, reps, 0, sizes, planes)
+        everyone = (1 << config.n) - 1
+        plain = census._count_by_circles(upper, circle, k, everyone, 0, [1] * config.n, [])
+        assert quotient == plain
+
+    @pytest.mark.parametrize("side_sq", [None, Fraction(2), Fraction(3)])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_twin_example_matches_subset_enumeration(self, k, side_sq):
+        assert brute_force_structured(TWIN_CLASSES, k, side_sq) == reference_census(
+            TWIN_CLASSES, k, side_sq
+        )
 
     def test_k_below_three_rejected(self):
         config = build_even_config(6, 3, (2, 2, 2))

@@ -180,6 +180,15 @@ class TestHypergraphCommand:
         _, out = run(capsys, "hypergraph", "--contains", str(b_path), str(h_path))
         assert json.loads(out)["contains"] is True
 
+    def test_contains_with_huge_n(self, tmp_path, capsys):
+        big = 10**12
+        g_path, h_path = tmp_path / "g.json", tmp_path / "h.json"
+        g_path.write_text(json.dumps({"n": big, "k": 3, "edges": [[0, 1, 2], [0, 1, big - 1]]}))
+        h_path.write_text(json.dumps({"n": big, "k": 3, "edges": [[7, 8, 9]]}))
+        code, out = run(capsys, "hypergraph", "--contains", str(g_path), str(h_path))
+        assert code == 0
+        assert json.loads(out) == {"contains": True}
+
 
 #: Placeholders in argv for input files that a test writes first.
 CONFIG = "config.json"
@@ -360,6 +369,10 @@ class TestBadInput:
             ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1]]}, "edge of wrong size"),
             ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1, 3]]}, "edge vertex out of range"),
             ({"n": 3, "k": 3, "edges": [[-1, 0, 1]]}, "edge vertex out of range"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1, 2]]}, "repeated edge"),
+            ({"n": 4, "k": 3, "edges": [[0, 1, 2], [1, 3, 2], [2, 0, 1]]}, "repeated edge"),
+            ({"n": 3, "k": 3, "edges": [[0, 0, 1]]}, "repeated vertex in an edge"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, 2], [2, 2, 2]]}, "repeated vertex in an edge"),
         ],
     )
     def test_hypergraph_json_types(self, tmp_path, capsys, obj, message):

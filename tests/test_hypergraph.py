@@ -157,6 +157,22 @@ class TestContainsCopy:
                 H = Hypergraph(H.n + isolated, k, H.edges)
                 assert contains_copy(G, H) == naive_contains(G, H), (G, H)
 
+    def test_cost_follows_the_edges_not_n(self):
+        # Only the vertices in an edge are indexed, so n = 10**12 on both
+        # sides answers at once; indexing all n vertices cannot finish.
+        big = 10**12
+
+        def edges(*triples):
+            return frozenset(map(frozenset, triples))
+
+        G = Hypergraph(big, 3, edges((0, 1, 2), (0, 1, big - 1), (5, 6, 7)))
+        two_sharing_a_pair = Hypergraph(big, 3, edges((3, 4, big - 1), (3, 4, 9)))
+        two_sharing_a_vertex = Hypergraph(big, 3, edges((3, 4, 9), (9, 10, 11)))
+        assert contains_copy(G, two_sharing_a_pair)
+        assert not contains_copy(G, two_sharing_a_vertex)
+        assert contains_copy(G, Hypergraph(big, 3, frozenset()))
+        assert not contains_copy(G, Hypergraph(big + 1, 3, edges((0, 1, 2))))
+
     def test_shadow_clique_refutes_pair_cover(self, monkeypatch):
         # Every pair of the 6 vertices shares an edge, so the cover's shadow
         # is a 6-clique; the (4, 4, 1) host's shadow misses the two
