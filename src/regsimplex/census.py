@@ -49,19 +49,21 @@ class CountReport(NamedTuple):
         return f"{self.delta1},{self.delta2},{self.delta3},{self.total}"
 
 
+#: Chord class of a tick difference of j twelfths of a turn, j = 0..11; a
+#: difference that is no whole number of twelfths is OTHER.
+CHORD_BY_TWELFTHS = (
+    ZERO, OTHER, OTHER, QUARTER, THIRD, OTHER, OTHER, OTHER, THIRD, QUARTER, OTHER, OTHER
+)
+
+
 def tick_chord_class(N: int, dt: int) -> str:
     """Chord class of a tick difference: quarter (90 deg), third (120 deg),
     zero, or other."""
     if N % 12 != 0:
         raise ValueError("modulus must be divisible by 12")
+    twelfth = N // 12
     dt %= N
-    if dt == 0:
-        return ZERO
-    if dt in (N // 4, 3 * N // 4):
-        return QUARTER
-    if dt in (N // 3, 2 * N // 3):
-        return THIRD
-    return OTHER
+    return OTHER if dt % twelfth else CHORD_BY_TWELFTHS[dt // twelfth]
 
 
 def _tick_set(ticks: Sequence[int], N: int) -> set[int]:
@@ -107,8 +109,10 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
     compatible-pair graph joins points on different circles, and points on
     one circle a quarter turn apart; the third-turn graph joins points on
     one circle a third of a turn apart.  circle[i] has a bit for every
-    point on the circle of point i.  Each circle classifies its N tick
-    differences once with tick_chord_class and looks pairs up in that table.
+    point on the circle of point i.  Each point looks its partners up at
+    the quarter and third steps of CHORD_BY_TWELFTHS in a dict from tick
+    residue to point index, so a circle costs O(its points) whatever its
+    modulus.
     """
     compatible: list[int] = []
     thirds: list[int] = []
@@ -116,19 +120,25 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
     n = config.n
     start = 0
     for comp in config.components:
-        N, ticks = comp.modulus, comp.ticks
-        chord = [tick_chord_class(N, dt) for dt in range(N)]
+        N = comp.modulus
+        steps = [
+            (j * N // 12, kind)
+            for j, kind in enumerate(CHORD_BY_TWELFTHS)
+            if kind in (QUARTER, THIRD)
+        ]
+        index = {t % N: i for i, t in enumerate(comp.ticks, start)}
         end = start + comp.size
         later_circles = ((1 << n) - 1) ^ ((1 << end) - 1)
         mask = ((1 << end) - 1) ^ ((1 << start) - 1)
-        for a, t in enumerate(ticks):
+        for i, t in enumerate(comp.ticks, start):
             quarter = third = 0
-            for b in range(a + 1, comp.size):
-                kind = chord[(ticks[b] - t) % N]
-                if kind == QUARTER:
-                    quarter |= 1 << (start + b)
-                elif kind == THIRD:
-                    third |= 1 << (start + b)
+            for step, kind in steps:
+                j = index.get((t + step) % N, -1)
+                if j > i:
+                    if kind == QUARTER:
+                        quarter |= 1 << j
+                    else:
+                        third |= 1 << j
             compatible.append(later_circles | quarter)
             thirds.append(third)
             circle.append(mask)
@@ -252,39 +262,6 @@ def _count_weighted(
     return total
 
 
-def _count_by_circles(
-    graph: list[int], circle: list[int], left: int, cand: int, used: int, sizes, planes
-) -> tuple[int, int]:
-    """_count_weighted split as (delta1, delta2): the weighted left-cliques
-    among cand that extend a prefix with no two points on one circle, whose
-    circle masks make up used.  delta2 counts those where two points of
-    the prefix and the clique share a circle."""
-    d1 = d2 = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        v = low.bit_length() - 1
-        ext = cand & graph[v]
-        if not ext:
-            continue
-        if left == 2:
-            same = ext if used & low else ext & (used | circle[v])
-            e1, e2 = ext.bit_count(), same.bit_count()
-            for plane in planes:
-                e1 += (ext & plane).bit_count()
-                e2 += (same & plane).bit_count()
-            e1 -= e2
-        elif used & low:  # v shares a circle with the prefix
-            e1, e2 = 0, _count_weighted(graph, left - 1, ext, sizes, planes)
-        else:
-            e1, e2 = _count_by_circles(
-                graph, circle, left - 1, ext, used | circle[v], sizes, planes
-            )
-        d1 += e1 * sizes[v]
-        d2 += e2 * sizes[v]
-    return d1, d2
-
-
 def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
     """Every structured regular simplex, as ascending indices into
     config.labeled_points(): the k-cliques of the compatible-pair graph
@@ -303,9 +280,12 @@ def brute_force_structured(
 
     Three points on one circle are never pairwise a quarter turn apart, so
     the k-cliques of the compatible-pair graph (see _pair_graphs) are
-    exactly the mixed simplices; for k = 3 the triangles of the third-turn
-    graph are the single-circle ones.  A clique is delta2 when two of its
-    points share a circle, and delta1 otherwise.
+    exactly the mixed simplices, delta1 + delta2; for k = 3 the triangles
+    of the third-turn graph are the single-circle ones.  Clearing the
+    same-circle bits leaves the cross-circle graph, whose k-cliques are
+    the delta1 simplices.  Both mixed counts walk the false-twin quotient
+    of their graph (see _twin_classes); the cross-circle graph's has one
+    class per circle.
     """
     if k < 3:
         raise ValueError("need k >= 3")
@@ -313,8 +293,9 @@ def brute_force_structured(
     compatible, thirds, circle = _pair_graphs(config)
     d1 = d2 = d3 = 0
     if allow_mixed:
-        reps, sizes, planes = _twin_classes(compatible, circle)
-        d1, d2 = _count_by_circles(compatible, circle, k, reps, 0, sizes, planes)
+        cross = [row & ~mask for row, mask in zip(compatible, circle)]
+        d1 = _count_weighted(cross, k, *_twin_classes(cross, circle))
+        d2 = _count_weighted(compatible, k, *_twin_classes(compatible, circle)) - d1
     if k == 3 and allow_single:
         d3 = _count_cliques(thirds, 3, (1 << config.n) - 1)
     return CountReport(d1, d2, d3)

@@ -94,7 +94,10 @@ def cmd_count(args) -> tuple[int, str]:
     config = _read_json(args.infile, lenz.config_from_json)
     if args.method == "coords":
         q3_side = Quad3.of(side_sq) if side_sq is not None else None
-        total = census.count_brute_force(lenz.embed_config(config), args.k, q3_side)
+        # Coordinates past the components' width are zero on every point.
+        width = sum(c.width for c in config.components)
+        points = lenz.embed_config(config._replace(ambient_dim=width))
+        total = census.count_brute_force(points, args.k, q3_side)
         return 0, f"{total}\n" if args.csv else _dump_json({"total": total})
     if args.method == "closed":
         report = census.count_structured(config, args.k, side_sq=side_sq)

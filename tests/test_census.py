@@ -242,6 +242,21 @@ TWIN_CLASSES = CircleConfig(
 )
 
 
+# One circle of modulus 12 * 10**12 holding a quarter pair (0, 3 * 10**12)
+# and a third-turn triangle (0, 4 * 10**12, 8 * 10**12), plus two one-point
+# circles.  A graph build that follows the modulus, not the points, never
+# finishes on it.
+HUGE_MODULUS = CircleConfig(
+    6,
+    Fraction(1),
+    (
+        Component("circle", 12 * 10**12, (0, 3 * 10**12, 4 * 10**12, 8 * 10**12)),
+        Component("circle", 12, (0,)),
+        Component("circle", 12, (5,)),
+    ),
+)
+
+
 def transposed_twin_classes(config):
     """Reference: the point classes of equal full compatible-pair rows, each
     full row the upper row of _pair_graphs plus the bits of its transpose."""
@@ -484,6 +499,7 @@ class TestCliqueCount:
             count_structured(config, 4)
 
     @given(tick_configs())
+    @example(HUGE_MODULUS)
     def test_chord_table_matches_pairwise_classes(self, config):
         assert census._pair_graphs(config) == pairwise_pair_graphs(config)
 
@@ -523,17 +539,21 @@ class TestCliqueCount:
         _, classes = transposed_twin_classes(TWIN_CLASSES)
         assert sorted(map(len, classes)) == [1, 1, 2, 2, 2, 3, 3, 4]
 
-    # The full graph with unit weights is the reference for the quotient.
+    # The full graph with unit weights is the reference for the quotient,
+    # on the compatible-pair graph and on its cross-circle part, whose
+    # quotient has one class per circle.
     @given(tick_configs(max_circles=5, max_size=6), st.integers(3, 6))
     @example(TWIN_CLASSES, 3)
     @example(TWIN_CLASSES, 5)
     def test_weighted_walk_matches_plain_walk(self, config, k):
-        upper, _, circle = census._pair_graphs(config)
-        reps, sizes, planes = census._twin_classes(upper, circle)
-        quotient = census._count_by_circles(upper, circle, k, reps, 0, sizes, planes)
+        compatible, _, circle = census._pair_graphs(config)
+        cross = [row & ~mask for row, mask in zip(compatible, circle)]
+        _, sizes, _ = census._twin_classes(cross, circle)
+        assert [s for s in sizes if s] == [c.size for c in config.components if c.size]
         everyone = (1 << config.n) - 1
-        plain = census._count_by_circles(upper, circle, k, everyone, 0, [1] * config.n, [])
-        assert quotient == plain
+        for graph in (compatible, cross):
+            quotient = census._count_weighted(graph, k, *census._twin_classes(graph, circle))
+            assert quotient == census._count_cliques(graph, k, everyone)
 
     @pytest.mark.parametrize("side_sq", [None, Fraction(2), Fraction(3)])
     @pytest.mark.parametrize("k", [3, 4, 5])

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from regsimplex.cli import main, run_verify
-from regsimplex.lenz import config_from_json
+from regsimplex.lenz import config_from_json, config_to_json
+from test_census import HUGE_MODULUS
 
 
 def run(capsys, *argv):
@@ -66,6 +67,26 @@ class TestCount:
             "--side-sq", "2",
         )
         assert json.loads(out)["total"] == 2592
+
+    def test_ticks_on_huge_modulus_print_closed_row(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config_to_json(HUGE_MODULUS)))
+        rows = [
+            run(capsys, "count", "--in", str(path), "--method", method, "--csv")
+            for method in ("ticks", "closed")
+        ]
+        assert rows == [(0, "4,2,1,7\n")] * 2
+
+    def test_coords_total_independent_of_ambient_dim(self, config_file, capsys):
+        obj = json.loads(Path(config_file).read_text())
+        totals = []
+        for ambient_dim in (6, 10**12):
+            obj["ambient_dim"] = ambient_dim
+            Path(config_file).write_text(json.dumps(obj))
+            totals.append(
+                run(capsys, "count", "--in", config_file, "--method", "coords", "--csv")
+            )
+        assert totals == [(0, "2604\n")] * 2
 
     def test_k_above_n_counts_zero_on_every_route(self, config_file, capsys):
         # 36 points hold no 40-point simplex, and every route says so
