@@ -1,6 +1,7 @@
 """Simplex censuses, three ways.
 
-* a k-clique count over the exact squared distances of a point set,
+* a k-clique count over the exact squared distances of a point set, or of
+  a configuration's points read straight from its ticks,
 * a k-clique count over the tick arithmetic of a structured configuration,
 * the closed-form structured count by simplex type.
 
@@ -15,12 +16,12 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import PointSet
-from .exactnum import Quad3
+from .exactnum import Quad3, cos30_table, sin30_table
 from .formulas import count_polynomial
-from .lenz import CircleConfig
+from .lenz import CircleConfig, embedding_steps
 
 QUARTER = "quarter"
 THIRD = "third"
@@ -327,47 +328,99 @@ def count_structured(
     return CountReport(d1, d2, d3)
 
 
-def _distance_graphs(P: PointSet, side_sq: Optional[Quad3]) -> dict:
-    """One graph per exact squared distance in P (only side_sq, when given),
-    keyed by that distance; row i holds the larger-index neighbors as an
-    int bitset.
+#: Coordinate-oracle rows: per point, each nonzero coordinate (scaled by a
+#: common D) as an integer pair (a, b) standing for a + b*rt3.
+_Rows = list[dict[int, tuple[int, int]]]
 
-    P is scaled once by D, the lcm of every coordinate denominator, so that
-    coordinate c of a point is (a_c + b_c*rt3)/D with integers a_c, b_c.  A
-    squared distance a + b*rt3 is then the integer pair (A, B) =
-    (D^2*a, D^2*b), which keys the graphs; side_sq matches as
-    (D^2*side_sq.a, D^2*side_sq.b), so a side whose D^2 multiple is not an
-    integer pair matches no pair of points.  Each point keeps its nonzero
-    scaled coordinates and its squared norm as such a pair.  Two points
-    that share no nonzero coordinate are at squared distance norm_i +
-    norm_j, so those pairs join a graph in bulk, one bitset per row and
-    norm; only pairs that share a coordinate take a dot product.
+#: The nonzero coordinates of the point at step s*30 degrees on a unit
+#: circle, doubled so that they are integer pairs (a, b) standing for
+#: a + b*rt3: (offset, pair) for cos at offset 0 and sin at offset 1, from
+#: exactnum's table.
+_TWICE_TRIG30 = tuple(
+    tuple(
+        (offset, (int(2 * x.a), int(2 * x.b)))
+        for offset, x in enumerate((cos30_table(s), sin30_table(s)))
+        if not x.is_zero()
+    )
+    for s in range(12)
+)
+
+
+def _config_rows(config: CircleConfig) -> tuple[int, _Rows]:
+    """Coordinate-oracle input for a configuration: (D, rows) with D = 2,
+    row i holding the doubled nonzero coordinates of labeled point i (see
+    lenz.embedding_steps, which refuses what cannot be embedded).
+
+    Component refuses ticks that repeat modulo the modulus, distinct ticks
+    on 30-degree multiples have distinct steps, and points on different
+    circles have disjoint nonzero coordinates, so the rows need no
+    distinctness check; they are sparse, so ambient_dim costs nothing.
     """
-    n = len(P)
+    return 2, [
+        {coord + offset: pair for offset, pair in _TWICE_TRIG30[step]}
+        for coord, step in embedding_steps(config)
+    ]
+
+
+def _point_set_rows(P: PointSet) -> tuple[int, _Rows]:
+    """Coordinate-oracle input for any point set over Q(rt3): (D, rows)
+    with D the lcm of every coordinate denominator, so that coordinate c
+    of point i, (a + b*rt3)/D, is the integer pair rows[i][c] = (a, b);
+    zero coordinates are left out."""
     ratios = [
         [(x.a.as_integer_ratio(), x.b.as_integer_ratio()) for x in p.coords]
         for p in P.points
     ]
     D = lcm(*(den for row in ratios for pair in row for _, den in pair))
-    supports: list[dict[int, tuple[int, int]]] = []
+    rows = [
+        {
+            c: (a * (D // da), b * (D // db))
+            for c, ((a, da), (b, db)) in enumerate(row)
+            if a or b
+        }
+        for row in ratios
+    ]
+    return D, rows
+
+
+def _coordinate_rows(source: Union[CircleConfig, PointSet]) -> tuple[int, _Rows]:
+    """(D, rows) for _distance_graphs from either front end."""
+    if isinstance(source, CircleConfig):
+        return _config_rows(source)
+    return _point_set_rows(source)
+
+
+def _distance_graphs(D: int, rows: _Rows, side_sq: Optional[Quad3]) -> dict:
+    """One graph per exact squared distance among the points of rows (only
+    side_sq, when given), keyed by that distance scaled by D^2; row i of a
+    graph holds the larger-index neighbors as an int bitset.
+
+    rows[i] maps each nonzero coordinate of point i, scaled by D, to the
+    integer pair (a, b) standing for a + b*rt3 (see _config_rows and
+    _point_set_rows).  A squared distance a + b*rt3 is then the integer
+    pair (D^2*a, D^2*b), which keys the graphs; side_sq matches as
+    (D^2*side_sq.a, D^2*side_sq.b), so a side whose D^2 multiple is not an
+    integer pair matches no pair of points.  Each point's squared norm is
+    such a pair too.  Two points that share no nonzero coordinate are at
+    squared distance norm_i + norm_j, so those pairs join a graph in bulk,
+    one bitset per row and norm; only pairs that share a coordinate take a
+    dot product.
+    """
+    n = len(rows)
     norms: list[tuple[int, int]] = []
     sharing: defaultdict[int, int] = defaultdict(int)  # coordinate -> points
     by_norm: defaultdict[tuple[int, int], int] = defaultdict(int)  # norm -> points
-    for i, row in enumerate(ratios):
-        support = {}
-        for c, ((a, da), (b, db)) in enumerate(row):
-            if a or b:
-                support[c] = a * (D // da), b * (D // db)
-                sharing[c] |= 1 << i
+    for i, support in enumerate(rows):
+        for c in support:
+            sharing[c] |= 1 << i
         norm = (
             sum(a * a + 3 * b * b for a, b in support.values()),
             2 * sum(a * b for a, b in support.values()),
         )
-        supports.append(support)
         norms.append(norm)
         by_norm[norm] |= 1 << i
     graphs: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * n)
-    for i, (support, (A, B)) in enumerate(zip(supports, norms)):
+    for i, (support, (A, B)) in enumerate(zip(rows, norms)):
         later = ((1 << n) - 1) >> (i + 1) << (i + 1)
         shared = 0
         for c in support:
@@ -379,7 +432,7 @@ def _distance_graphs(P: PointSet, side_sq: Optional[Quad3]) -> dict:
                 if members & apart:
                     graphs[A + A2, B + B2][i] |= members & apart
         for j in _bits(shared):
-            other = supports[j]
+            other = rows[j]
             dot_a = dot_b = 0
             for c, (a, b) in support.items():
                 if c in other:
@@ -394,21 +447,29 @@ def _distance_graphs(P: PointSet, side_sq: Optional[Quad3]) -> dict:
     return {want: graphs[want]}
 
 
-def count_brute_force(P: PointSet, k: int, side_sq: Optional[Quad3] = None) -> int:
-    """Number of k-subsets of P that are regular simplices, by coordinates:
-    the k-cliques of the distance graphs.  With side_sq given, only
-    simplices of that exact squared side count."""
+def count_brute_force(
+    source: Union[CircleConfig, PointSet], k: int, side_sq: Optional[Quad3] = None
+) -> int:
+    """Number of k-subsets of the points that are regular simplices, by
+    coordinates: the k-cliques of the distance graphs.  source is a point
+    set over Q(rt3), or a configuration whose ticks are 30-degree
+    multiples, read as its labeled points on the unit circles with no
+    PointSet built (see _config_rows).  With side_sq given, only simplices
+    of that exact squared side count."""
     if k < 3:
         raise ValueError("need k >= 3")
-    everyone = (1 << len(P)) - 1
-    graphs = _distance_graphs(P, side_sq).values()
+    D, rows = _coordinate_rows(source)
+    everyone = (1 << len(rows)) - 1
+    graphs = _distance_graphs(D, rows, side_sq).values()
     return sum(_count_cliques(graph, k, everyone) for graph in graphs)
 
 
 def coordinate_simplices(
-    P: PointSet, k: int, side_sq: Optional[Quad3] = None
+    source: Union[CircleConfig, PointSet], k: int, side_sq: Optional[Quad3] = None
 ) -> list[tuple[int, ...]]:
-    """The cliques count_brute_force counts, as ascending indices into P.points."""
+    """The cliques count_brute_force counts, as ascending indices into the
+    points of source (P.points, or config.labeled_points())."""
     if k < 3:
         raise ValueError("need k >= 3")
-    return list(_cliques(_distance_graphs(P, side_sq).values(), k))
+    graphs = _distance_graphs(*_coordinate_rows(source), side_sq).values()
+    return list(_cliques(graphs, k))

@@ -94,10 +94,7 @@ def cmd_count(args) -> tuple[int, str]:
     config = _read_json(args.infile, lenz.config_from_json)
     if args.method == "coords":
         q3_side = Quad3.of(side_sq) if side_sq is not None else None
-        # Coordinates past the components' width are zero on every point.
-        width = sum(c.width for c in config.components)
-        points = lenz.embed_config(config._replace(ambient_dim=width))
-        total = census.count_brute_force(points, args.k, q3_side)
+        total = census.count_brute_force(config, args.k, q3_side)
         return 0, f"{total}\n" if args.csv else _dump_json({"total": total})
     if args.method == "closed":
         report = census.count_structured(config, args.k, side_sq=side_sq)
@@ -193,8 +190,7 @@ def run_verify(n_range, r: int, k: int, workers: int = 1):
             )
             continue
         if max(partition) <= 12:
-            pts = lenz.embed_config(config)
-            values["coords"] = census.count_brute_force(pts, k)
+            values["coords"] = census.count_brute_force(config, k)
         distinct = set(values.values())
         shown = " ".join(f"{name}={values[name]}" for name in sorted(values))
         if len(distinct) == 1:

@@ -167,15 +167,19 @@ def build_odd_config(n: int, r: int) -> CircleConfig:
     return CircleConfig(ambient_dim=2 * r + 1, radius_sq=Fraction(1), components=tuple(comps))
 
 
-def embed_config(config: CircleConfig) -> PointSet:
-    """Exact coordinates for a configuration whose ticks are 30-degree multiples.
+def embedding_steps(config: CircleConfig) -> list[tuple[int, int]]:
+    """(first coordinate, 30-degree step) of each labeled point, in the
+    order of config.labeled_points().
 
-    Tick t on modulus N maps to the angle step 12*t/N, which must be an
-    integer for coordinates to stay in Q(rt3); placements with more than one
-    dodecagon copy per circle are therefore not embeddable.
+    Tick t on modulus N sits at angle step 12*t/N (taken modulo 12), which
+    must be an integer for coordinates to stay in Q(rt3); placements with
+    more than one dodecagon copy per circle are therefore not embeddable.
+    The point then has coordinates cos and sin of step*30 degrees at its
+    first coordinate and the next, and zero elsewhere.  Raises ValueError
+    when the components need more than ambient_dim coordinates, a tick is
+    no 30-degree multiple, or the radius is not 1.
     """
-    zero = Quad3.of(0)
-    pts = []
+    steps = []
     coord = 0
     for comp in config.components:
         if coord + comp.width > config.ambient_dim:
@@ -185,14 +189,26 @@ def embed_config(config: CircleConfig) -> PointSet:
                 raise ValueError(
                     "tick is not a multiple of 30 degrees; cannot embed exactly"
                 )
-            step = (12 * t // comp.modulus) % 12
-            coords = [zero] * config.ambient_dim
-            coords[coord] = cos30_table(step)
-            coords[coord + 1] = sin30_table(step)
-            pts.append(Point(tuple(coords)))
+            steps.append((coord, (12 * t // comp.modulus) % 12))
         coord += comp.width
     if config.radius_sq != 1:
         raise ValueError("embedding assumes unit radius")
+    return steps
+
+
+def embed_config(config: CircleConfig) -> PointSet:
+    """Exact Quad3 coordinates for a configuration whose ticks are 30-degree
+    multiples (see embedding_steps), as a dense PointSet of ambient_dim
+    coordinates per point.  The coordinate census reads embedding_steps
+    directly and needs no PointSet; this serves the geometry lemmas and
+    the test references."""
+    zero = Quad3.of(0)
+    pts = []
+    for coord, step in embedding_steps(config):
+        coords = [zero] * config.ambient_dim
+        coords[coord] = cos30_table(step)
+        coords[coord + 1] = sin30_table(step)
+        pts.append(Point(tuple(coords)))
     return PointSet(dim=config.ambient_dim, points=tuple(pts))
 
 

@@ -498,6 +498,14 @@ class TestCliqueCount:
         with pytest.raises(AssertionError):
             count_structured(config, 4)
 
+        def tick_classes(*args):
+            raise AssertionError("the coordinate oracle used tick classes")
+
+        for name in ("tick_chord_class", "_pair_graphs", "_twin_classes"):
+            monkeypatch.setattr(census, name, tick_classes)
+        assert count_brute_force(build_even_config(36, 3, (12, 12, 12)), 3) == 2604
+        assert count_brute_force(config, 4) == 10624
+
     @given(tick_configs())
     @example(HUGE_MODULUS)
     def test_chord_table_matches_pairwise_classes(self, config):
@@ -638,7 +646,8 @@ class TestCoordinateCliques:
     def check_distance_graphs(self, P):
         """Every pair of P lies in exactly one distance graph, keyed by its
         scaled squared distance, and a side filter keeps only its key."""
-        graphs = census._distance_graphs(P, None)
+        scaled = census._point_set_rows(P)
+        graphs = census._distance_graphs(*scaled, None)
         n = len(P)
         for i, j in combinations(range(n), 2):
             keys = [key for key, rows in graphs.items() if rows[i] >> j & 1]
@@ -647,7 +656,7 @@ class TestCoordinateCliques:
                    for rows in graphs.values() for i, row in enumerate(rows))
         if n >= 2:
             side = sq_dist(*P.points[:2])
-            filtered = census._distance_graphs(P, side)
+            filtered = census._distance_graphs(*scaled, side)
             key = scaled_sq_dist(P, 0, 1)
             assert filtered == {key: graphs[key]}
 
@@ -664,6 +673,37 @@ class TestCoordinateCliques:
     @given(embeddable_configs())
     def test_distance_graphs_partition_disjoint_supports(self, config):
         self.check_distance_graphs(embed_config(config))
+
+    # The configuration front end doubles the coordinates of each labeled
+    # point from its tick; the point-set front end scales embed_config's
+    # Quad3 coordinates by the lcm of their denominators.  No pair of
+    # points is at squared distance 1/11.
+    @settings(deadline=None, max_examples=50)
+    @given(
+        embeddable_configs(),
+        st.integers(3, 5),
+        st.sampled_from([None, 2, 3, Fraction(1, 11)]),
+    )
+    @example(build_odd_config(9, 3), 3, None)
+    @example(build_odd_config(9, 3), 4, 2)
+    @example(THIRDS_AND_QUARTER, 3, 3)
+    def test_front_ends_agree(self, config, k, side):
+        P = embed_config(config)
+        side_sq = None if side is None else Quad3.of(side)
+        assert count_brute_force(config, k, side_sq) == count_brute_force(P, k, side_sq)
+        assert sorted(coordinate_simplices(config, k, side_sq)) == sorted(
+            coordinate_simplices(P, k, side_sq)
+        )
+        unscaled = [
+            {
+                (Fraction(A, D * D), Fraction(B, D * D)): graph
+                for (A, B), graph in census._distance_graphs(D, rows, side_sq).items()
+            }
+            for D, rows in (census._config_rows(config), census._point_set_rows(P))
+        ]
+        assert unscaled[0] == unscaled[1]
+        _, rows = census._config_rows(config)
+        assert len({tuple(sorted(row.items())) for row in rows}) == len(rows) == config.n
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_k_below_three_rejected(self, k):

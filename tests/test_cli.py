@@ -374,6 +374,23 @@ class TestBadInput:
             argv = ["count", "--in", str(path), "--method", method]
             assert message in assert_one_line_error(capsys, argv)
 
+    # Valid configurations that the coordinate route cannot embed exactly.
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda c: _edit_component(c, modulus=24, ticks=[1]),
+                "tick is not a multiple of 30 degrees; cannot embed exactly",
+            ),
+            (lambda c: {**c, "radius_sq": "2"}, "embedding assumes unit radius"),
+        ],
+    )
+    def test_coords_refuses_unembeddable(self, tmp_path, capsys, config_json, edit, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(config_json)))
+        argv = ["count", "--in", str(path), "--method", "coords"]
+        assert message in assert_one_line_error(capsys, argv)
+
     @pytest.mark.parametrize(
         "obj,message",
         [
