@@ -53,9 +53,15 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _read_json(path: str, from_json):
-    """Read one input file and check it at the JSON boundary with from_json."""
+    """Read one input file and check it at the JSON boundary with from_json.
+
+    A ValueError is prefixed with the path; an OSError already names it.
+    """
     with open(path) as fh:
-        return from_json(json.load(fh))
+        try:
+            return from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _dump_json(obj) -> str:

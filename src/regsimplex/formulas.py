@@ -104,23 +104,6 @@ def asymptotic_leading(n: int, r: int, k: int) -> Fraction:
     return comb(r, k) * Fraction(n, r) ** k
 
 
-def _nondecreasing_vectors(n: int, r: int, lo: int, hi: int):
-    """Nondecreasing length-r vectors with entries in [lo, hi] summing to n."""
-
-    def rec(remaining, slots, minv):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for v in range(max(minv, lo), hi + 1):
-            if v * slots > remaining or remaining > hi * slots:
-                break
-            for rest in rec(remaining - v, slots - 1, v):
-                yield (v,) + rest
-
-    yield from rec(n, r, lo)
-
-
 def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
     """The maximum of f_k over all partitions of n into r classes, with the
     full tie set as nondecreasing vectors.
@@ -128,8 +111,10 @@ def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
     Every maximizer has spread max - min <= 4, so only the vectors of spread
     <= 4 are enumerated.  The least entry a is at most n/r and the greatest,
     at most a + 4, is at least n/r, so a runs from max(0, ceil(n/r) - 4) to
-    floor(n/r) and the other r - 1 entries lie in [a, a + 4].  The vectors
-    come in lexicographic order, which is the order of the tie set.
+    floor(n/r).  Such a vector is fixed by the counts m_0, ..., m_4 of the
+    values a, ..., a + 4, with m_0 >= 1; the sum fixes m_3 and m_4 once
+    m_0, m_1 and m_2 are chosen.  Walking a up and m_0, m_1, m_2 down gives
+    the vectors in lexicographic order, which is the order of the tie set.
 
     Exchange lemma.  Let v have spread D = b - a >= 5, where a = min(v) and
     b = max(v), and let v' move 4 points from the b-class to the a-class.
@@ -162,11 +147,21 @@ def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
         raise ValueError("need n >= k")
     best, argmax = -1, []
     for a in range(max(0, -(-n // r) - 4), n // r + 1):
-        for rest in _nondecreasing_vectors(n - a, r - 1, a, a + 4):
-            vec = (a,) + rest
-            value = eval_f_k(vec, k).value
-            if value > best:
-                best, argmax = value, [vec]
-            elif value == best:
-                argmax.append(vec)
+        x = n - r * a
+        for m0 in range(r, 0, -1):
+            # The t entries above a add 1 to 4 each to a, x in all, and the s
+            # entries past a + 1 add 2 to 4, e in all.  The ranges of m1 and
+            # m2 hold exactly the counts that leave such a sum possible.
+            t = r - m0
+            for m1 in range(min(t, (4 * t - x) // 3), max(0, 2 * t - x) - 1, -1):
+                s, e = t - m1, x - m1
+                for m2 in range(min(s, (4 * s - e) // 2), max(0, 3 * s - e) - 1, -1):
+                    m4 = e - 3 * s + m2
+                    vec = ((a,) * m0 + (a + 1,) * m1 + (a + 2,) * m2
+                           + (a + 3,) * (s - m2 - m4) + (a + 4,) * m4)
+                    value = eval_f_k(vec, k).value
+                    if value > best:
+                        best, argmax = value, [vec]
+                    elif value == best:
+                        argmax.append(vec)
     return FormulaResult(value=best, argmax=tuple(argmax))

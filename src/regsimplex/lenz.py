@@ -261,9 +261,13 @@ def config_from_json(obj: dict) -> CircleConfig:
         ambient_dim = check_json_type(
             obj["ambient_dim"], (int,), "config JSON: ambient_dim"
         )
-        radius_sq = rational_from_str(
-            check_json_type(obj["radius_sq"], (str, int), "config JSON: radius_sq")
+        radius_sq = check_json_type(
+            obj["radius_sq"], (str, int), "config JSON: radius_sq"
         )
+        try:
+            radius_sq = rational_from_str(radius_sq)
+        except ValueError as exc:
+            raise ValueError(f"config JSON: radius_sq: {exc}") from None
         components = []
         for i, c in enumerate(
             check_json_type(obj["components"], (list,), "config JSON: components")
@@ -274,7 +278,10 @@ def config_from_json(obj: dict) -> CircleConfig:
             if any(type(t) is not int for t in ticks):
                 raise ValueError(f"{what}: each tick must be an integer")
             modulus = check_json_type(c["modulus"], (int,), f"{what}: modulus")
-            components.append(Component(c["kind"], modulus, tuple(ticks)))
+            try:
+                components.append(Component(c["kind"], modulus, tuple(ticks)))
+            except ValueError as exc:
+                raise ValueError(f"{what}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"config JSON: missing key {exc.args[0]!r}") from None
     except ZeroDivisionError:

@@ -344,6 +344,14 @@ class TestBadInput:
         argv = ["count", "--in", str(tmp_path / "absent.json"), "--method", "closed"]
         assert "No such file" in assert_one_line_error(capsys, argv)
 
+    def test_malformed_input_named(self, tmp_path, capsys):
+        G, H = tmp_path / "g.json", tmp_path / "h.json"
+        main(["hypergraph", "--make-pattern", "3", "3", "--out", str(G)])
+        H.write_text("not json")
+        err = assert_one_line_error(capsys, ["hypergraph", "--contains", str(G), str(H)])
+        assert f"{H}: Expecting value" in err
+        assert str(G) not in err
+
     def test_config_missing_key(self, tmp_path, capsys, config_json):
         del config_json["radius_sq"]
         path = tmp_path / "bad.json"

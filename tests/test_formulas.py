@@ -90,11 +90,16 @@ def box_vectors(n, r):
     return [vec for vec in combinations_with_replacement(values, r) if sum(vec) == n]
 
 
-def box_maximum(n, r, k):
-    """Reference (value, argmax in enumeration order) of f_k over the box."""
-    values = [(vec, eval_f_k(vec, k).value) for vec in box_vectors(n, r)]
+def maximum_over(vectors, k):
+    """Reference (value, argmax in enumeration order) of f_k over vectors."""
+    values = [(vec, eval_f_k(vec, k).value) for vec in vectors]
     best = max(v for _, v in values)
     return best, tuple(vec for vec, v in values if v == best)
+
+
+def box_maximum(n, r, k):
+    """Reference (value, argmax in enumeration order) of f_k over the box."""
+    return maximum_over(box_vectors(n, r), k)
 
 
 def box_sample():
@@ -107,6 +112,26 @@ def box_sample():
         for k in range(3, min(r, 6) + 1)
         for n in (k, rng.randint(k, 40), rng.randint(41, 200))
     ]
+
+
+def least_entry_vectors(n, r):
+    """Reference enumeration of the vectors of spread <= 4 summing to n, in
+    lexicographic order: for each least entry a, the other r - 1 entries
+    from [a, a + 4].  That is C(r + 3, 4) tuples per a, not C(r + 8, 8)."""
+    base = Fraction(n, r)
+    return [
+        (a, *rest)
+        for a in range(max(0, ceil(base) - 4), floor(base) + 1)
+        for rest in combinations_with_replacement(range(a, a + 5), r - 1)
+        if a + sum(rest) == n
+    ]
+
+
+def wide_sample():
+    """Seeded (n, r, k) cases, one for each r = 11..30, with k = 3 + r mod 4
+    and n <= 300."""
+    rng = random.Random(18)
+    return [(rng.randint(3 + r % 4, 300), r, 3 + r % 4) for r in range(11, 31)]
 
 
 @st.composite
@@ -266,6 +291,16 @@ class TestMaximize:
             before = eval_f_k((n1, n2, *rest), 3).value
             after = eval_f_k((n1 - 2, n2 + 2, *rest), 3).value
             assert after > before
+
+
+class TestMaximizeWide:
+    """maximize_f_k past the r <= 10 that the +-4 box reference reaches."""
+
+    def test_matches_least_entry_reference(self):
+        for n, r, k in wide_sample():
+            res = maximize_f_k(n, r, k)
+            expected = maximum_over(least_entry_vectors(n, r), k)
+            assert (res.value, res.argmax) == expected, (n, r, k)
 
 
 def pair_coefficients(a, b):

@@ -215,6 +215,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive multiple of 12"):
             config_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("radius_sq", "abc",
+             "config JSON: radius_sq: Invalid literal for Fraction: 'abc'"),
+            ("kind", 5, "config JSON: component 1: unknown component kind 5"),
+            ("ticks", [0, 12],
+             "config JSON: component 1: ticks must be distinct modulo the modulus"),
+            ("modulus", 18,
+             "config JSON: component 1: modulus must be a positive multiple of 12"),
+        ],
+    )
+    def test_error_names_field(self, obj, key, value, message):
+        (obj if key in obj else obj["components"][1])[key] = value
+        with pytest.raises(ValueError) as exc:
+            config_from_json(obj)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("key", ["ambient_dim", "radius_sq", "components"])
     def test_missing_key(self, obj, key):
         del obj[key]
