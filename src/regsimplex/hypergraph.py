@@ -8,8 +8,7 @@ unconstrained.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Union
 
@@ -30,7 +29,7 @@ class Hypergraph:
         self.edges = edges
         if n < 0 or k < 1:
             raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
-        if any(len(e) != k for e in edges):
+        if set(map(len, edges)) - {k}:
             raise ValueError("edge of wrong size")
         # n may come from JSON, so the range check never builds range(n).
         vertices = set().union(*edges)
@@ -74,8 +73,10 @@ class Hypergraph:
             edges = check_json_type(obj["edges"], (list,), "hypergraph JSON: edges")
         except KeyError as exc:
             raise ValueError(f"hypergraph JSON: missing key {exc.args[0]!r}") from None
-        lists = all(type(e) is list for e in edges)
-        if not lists or {type(v) for e in edges for v in e} - {int}:
+        # on the lists: True == 1, so the edge sets or their union can hide a bool
+        if set(map(type, edges)) - {list} or (
+            set(map(type, chain.from_iterable(edges))) - {int}
+        ):
             raise ValueError("hypergraph JSON: each edge must be a list of integers")
         sets = list(map(frozenset, edges))
         if list(map(len, sets)) != list(map(len, edges)):
@@ -135,15 +136,18 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     The shadow graph of a hypergraph joins two vertices when they share an
     edge.  A copy maps a clique of H's shadow onto a clique of G's, so the
     answer is False at once when G's shadow has no clique as large as the
-    largest one in H's.  Otherwise G is indexed once on Python-int bitsets
-    of its vertices: link[f] holds the vertices that complete the (k-1)-set
-    f (as a bitset key) to an edge, and shadow[v] the vertices that share an
-    edge with v.  H's vertices are placed greedily, next the one closing the
-    most edges of H (ties to higher degree, then lower index).  The
-    candidates of H-vertex hv are the free G-vertices of at least its
-    degree, intersected with the shadow of the image of every placed
-    H-neighbour and the link of the image of e - hv for every edge e the
-    step closes; they are tried lowest first.
+    largest one in H's.  Otherwise the search runs on Python-int bitsets of
+    G's vertices: shadow[v] holds the vertices that share an edge with v,
+    and link[f] the vertices that complete the (k-1)-set f (as a bitset key)
+    to an edge.  One pass over G's edges gives the shadow rows, the degrees
+    and the set of edge bitsets; a link is looked up in that set the first
+    time the search asks for it and kept for the rest of the call, so the
+    cost follows the search and not the size of G.  H's vertices are placed
+    greedily, next the one closing the most edges of H (ties to higher
+    degree, then lower index).  The candidates of H-vertex hv are the free
+    G-vertices of at least its degree, intersected with the shadow of the
+    image of every placed H-neighbour and the link of the image of e - hv
+    for every edge e the step closes; they are tried lowest first.
     Only the vertices that lie in an edge are indexed (see _support): once
     H.n <= G.n, an isolated H-vertex can take any unused G-vertex.
     Intended for desk scale (v(H) up to ~16, v(G) up to ~40).
@@ -153,31 +157,33 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     if H.n > G.n or H.e > G.e:
         return False
     G, H = _support(G), _support(H)
-    g_deg, g_shadow, link = _index(G)
-    h_deg, h_shadow, _ = _index(H)
+    g_edges, g_deg, g_shadow = _index(G)
+    h_edges, h_deg, h_shadow = _index(H)
     if not _has_clique(g_shadow, _clique_number(h_shadow)):
         return False
-    h_edges = [_mask(e) for e in H.edges]
+    degree_ok = {
+        d: _mask(g for g in range(G.n) if g_deg[g] >= d) for d in set(h_deg)
+    }
     plan = []
     placed = 0
     while len(plan) < H.n:
         # closes[v]: the rests e - v of the edges e that placing v completes
-        closes = {
-            v: [e ^ (1 << v) for e in h_edges if e & ~placed == 1 << v]
-            for v in range(H.n)
-            if not placed >> v & 1
-        }
+        closes = {v: [] for v in range(H.n) if not placed >> v & 1}
+        for e in h_edges:
+            left = e & ~placed
+            if left and not left & (left - 1):
+                closes[left.bit_length() - 1].append(e ^ left)
         hv = max(closes, key=lambda v: (len(closes[v]), h_deg[v], -v))
         covered = 0
         for rest in closes[hv]:
             covered |= rest
-        degree_ok = _mask(g for g in range(G.n) if g_deg[g] >= h_deg[hv])
         neighbours = h_shadow[hv] & placed & ~covered
         rests = [tuple(_bits(rest)) for rest in closes[hv]]
-        plan.append((hv, degree_ok, tuple(_bits(neighbours)), rests))
+        plan.append((hv, degree_ok[h_deg[hv]], tuple(_bits(neighbours)), rests))
         placed |= 1 << hv
+    every = (1 << G.n) - 1
     shadow = {1 << v: row for v, row in enumerate(g_shadow)}
-    return _place(plan, 0, [0] * H.n, (1 << G.n) - 1, shadow, link)
+    return _place(plan, 0, [0] * H.n, every, shadow, _Links(g_edges, every))
 
 
 def _support(F: Hypergraph) -> Hypergraph:
@@ -195,24 +201,43 @@ def _mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
-def _index(F: Hypergraph) -> tuple[list[int], list[int], dict[int, int]]:
-    """Degrees, shadow rows (shadow[v]: the vertices sharing an edge with v)
-    and links (link[f]: the vertices completing the (k-1)-set with bitset f
-    to an edge)."""
+def _index(F: Hypergraph) -> tuple[set[int], list[int], list[int]]:
+    """Edge bitsets, degrees and shadow rows (shadow[v]: the vertices
+    sharing an edge with v), in one pass over the edges."""
+    edges = set()
     deg = [0] * F.n
     shadow = [0] * F.n
-    link: defaultdict[int, int] = defaultdict(int)
     for e in F.edges:
         mask = 0
         for v in e:
             mask |= 1 << v
+        edges.add(mask)
         for v in e:
-            low = 1 << v
-            rest = mask ^ low
             deg[v] += 1
-            shadow[v] |= rest
-            link[rest] |= low
-    return deg, shadow, link
+            shadow[v] |= mask
+    return edges, deg, [row & ~(1 << v) for v, row in enumerate(shadow)]
+
+
+class _Links(dict):
+    """link[f]: the vertices that complete the (k-1)-set with bitset f to
+    one of the edge bitsets edges, found among the vertices of the bitset
+    every on first lookup and kept."""
+
+    def __init__(self, edges: set[int], every: int):
+        super().__init__()
+        self.edges = edges
+        self.every = every
+
+    def __missing__(self, key: int) -> int:
+        value = 0
+        cand = self.every
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if key | low in self.edges:
+                value |= low
+        self[key] = value
+        return value
 
 
 def _has_clique(shadow: list[int], size: int) -> bool:
@@ -245,7 +270,7 @@ def _place(plan, step: int, image: list[int], free: int, shadow, link) -> bool:
         key = 0
         for u in rest:
             key |= image[u]
-        cand &= link.get(key, 0)
+        cand &= link[key]
     while cand:
         low = cand & -cand
         cand ^= low

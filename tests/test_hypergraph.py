@@ -149,12 +149,8 @@ class TestContainsCopy:
     ]
 
     def test_agrees_with_naive_oracle(self):
-        for k, g_n, g_edges, h_edges, isolated in self.ORACLE_CASES:
-            rng = random.Random(13)
-            for _ in range(60):
-                G = random_hypergraph(rng, rng.randint(*g_n), k, rng.randint(*g_edges))
-                H = random_hypergraph(rng, rng.randint(3, 6), k, rng.randint(*h_edges))
-                H = Hypergraph(H.n + isolated, k, H.edges)
+        for case in self.ORACLE_CASES:
+            for G, H in _oracle_queries(*case):
                 assert contains_copy(G, H) == naive_contains(G, H), (G, H)
 
     def test_cost_follows_the_edges_not_n(self):
@@ -214,6 +210,130 @@ class TestContainsCopy:
         G = build_simplex_hypergraph(config, 3)
         H = make_pattern_H(3, 3)
         assert contains_copy(G, H) == _injective_search_limited(G, H)
+
+
+def _bitset(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _eager_links(G: Hypergraph) -> dict[int, int]:
+    """Reference link table, one entry per (edge, vertex) pair: each rest
+    e - v keyed by its bitset, OR-ing in the bit of v."""
+    link: dict[int, int] = {}
+    for e in G.edges:
+        mask = _bitset(e)
+        for v in e:
+            rest = mask ^ 1 << v
+            link[rest] = link.get(rest, 0) | 1 << v
+    return link
+
+
+def _planted_queries():
+    """Seeded (G, H) pairs with a copy of H in G: pattern copies planted
+    among noise edges, then sub-hypergraphs that simplex hypergraphs induce
+    on 7 vertices."""
+    rng = random.Random(31)
+    for r, k in [(3, 3), (4, 3), (2, 4), (2, 5)]:
+        H = make_pattern_H(r, k)
+        for _ in range(8):
+            n = H.n + rng.randint(0, 6)
+            relabel = rng.sample(range(n), n)
+            edges = {frozenset(relabel[v] for v in e) for e in H.edges}
+            for _ in range(rng.randint(5, 3 * n)):
+                edges.add(frozenset(rng.sample(range(n), k)))
+            yield Hypergraph(n, k, frozenset(edges)), H
+    for partition, k in [((4, 4, 4), 3), ((3, 3, 3, 3), 4)]:
+        config = build_even_config(sum(partition), len(partition), partition)
+        G = build_simplex_hypergraph(config, k)
+        for _ in range(4):
+            chosen = rng.sample(range(G.n), 7)
+            label = dict(zip(chosen, rng.sample(range(7), 7))).__getitem__
+            edges = (frozenset(map(label, e)) for e in G.edges if e <= set(chosen))
+            yield G, Hypergraph(7, k, frozenset(edges))
+
+
+def _oracle_queries(k, g_n, g_edges, h_edges, isolated):
+    """60 seeded queries for one of TestContainsCopy.ORACLE_CASES."""
+    rng = random.Random(13)
+    for _ in range(60):
+        G = random_hypergraph(rng, rng.randint(*g_n), k, rng.randint(*g_edges))
+        H = random_hypergraph(rng, rng.randint(3, 6), k, rng.randint(*h_edges))
+        yield G, Hypergraph(H.n + isolated, k, H.edges)
+
+
+class TestLinksOnFirstUse:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_equal_the_eager_table(self, k):
+        rng = random.Random(40 + k)
+        in_an_edge = in_no_edge = 0
+        for _ in range(12):
+            n = rng.randint(k + 1, 9)
+            G = random_hypergraph(rng, n, k, rng.randint(1, comb(n, k) // 2))
+            link = hypergraph._Links(hypergraph._index(G)[0], (1 << G.n) - 1)
+            eager = _eager_links(G)
+            assert set(eager) == {
+                _bitset(f) for e in G.edges for f in combinations(e, k - 1)
+            }
+            # every (k-1)-set: the rests of G's edges and the sets in no edge
+            for f in combinations(range(n), k - 1):
+                key = _bitset(f)
+                assert link[key] == eager.get(key, 0), (G, f)
+                assert not link[key] & key
+                in_an_edge += key in eager
+                in_no_edge += key not in eager
+        assert in_an_edge and in_no_edge
+
+
+class TestSameSearchAnyLabels:
+    # _place calls per query, recorded with a link table built up front from
+    # every (edge, vertex) pair of G; finding links on first use must not
+    # change which nodes the search visits
+    PLANTED_CALLS = [
+        132, 69, 97, 32, 21, 11, 77, 879, 245, 3565, 1791, 1348, 16, 156,
+        1378, 449, 15, 588, 110, 147, 29, 10, 49, 118, 5115, 7649, 29630,
+        4227, 6101, 2310, 32, 9161, 8, 8, 8, 8, 8, 8, 8, 8,
+    ]
+    # summed over the 60 queries of each of TestContainsCopy.ORACLE_CASES
+    ORACLE_CALLS = [299, 54, 56, 126, 1024]
+
+    def test_place_calls_unchanged(self, monkeypatch):
+        calls = [0]
+        place = hypergraph._place
+
+        def counting(*args):
+            calls[0] += 1
+            return place(*args)
+
+        monkeypatch.setattr(hypergraph, "_place", counting)
+        planted = []
+        for G, H in _planted_queries():
+            calls[0] = 0
+            assert contains_copy(G, H)
+            planted.append(calls[0])
+        assert planted == self.PLANTED_CALLS
+        oracle = []
+        for case in TestContainsCopy.ORACLE_CASES:
+            calls[0] = 0
+            for G, H in _oracle_queries(*case):
+                contains_copy(G, H)
+            oracle.append(calls[0])
+        assert oracle == self.ORACLE_CALLS
+
+    def test_relabelling_keeps_the_answer(self):
+        # vertices moved injectively into [0, 3n) leave gaps that _support
+        # closes; H.n <= G.n holds after the move exactly when it did before
+        rng = random.Random(17)
+
+        def spread(F):
+            label = rng.sample(range(3 * F.n), F.n)
+            edges = frozenset(frozenset(label[v] for v in e) for e in F.edges)
+            return Hypergraph(3 * F.n, F.k, edges)
+
+        queries = list(_planted_queries())
+        for case in TestContainsCopy.ORACLE_CASES:
+            queries += _oracle_queries(*case)
+        for G, H in queries:
+            assert contains_copy(spread(G), spread(H)) == contains_copy(G, H), (G, H)
 
 
 def _injective_search_limited(G, H):
