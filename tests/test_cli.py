@@ -412,12 +412,6 @@ class TestBadInput:
             ({"n": -1, "k": 3, "edges": []}, "need n >= 0 and k >= 1"),
             ({"n": 3, "k": 0, "edges": []}, "need n >= 0 and k >= 1"),
             ({"n": 3, "k": 3, "edges": [[0, 1, True]]}, "each edge must be a list of integers"),
-            ({"n": 3, "k": 3, "edges": [[0, 1, 2.0]]}, "each edge must be a list of integers"),
-            # True == 1, so only a check by type tells this edge from the first
-            (
-                {"n": 3, "k": 3, "edges": [[1, 2, 0], [True, 2, 0]]},
-                "each edge must be a list of integers",
-            ),
             ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1]]}, "edge of wrong size"),
             ({"n": 3, "k": 3, "edges": [[0, 1, 2], [0, 1, 3]]}, "edge vertex out of range"),
             ({"n": 3, "k": 3, "edges": [[-1, 0, 1]]}, "edge vertex out of range"),
@@ -425,6 +419,12 @@ class TestBadInput:
             ({"n": 4, "k": 3, "edges": [[0, 1, 2], [1, 3, 2], [2, 0, 1]]}, "repeated edge"),
             ({"n": 3, "k": 3, "edges": [[0, 0, 1]]}, "repeated vertex in an edge"),
             ({"n": 3, "k": 3, "edges": [[0, 1, 2], [2, 2, 2]]}, "repeated vertex in an edge"),
+            ({"n": 3, "k": 3, "edges": [[0, 1, 2.0]]}, "each edge must be a list of integers"),
+            # True == 1, so only a check by type tells this edge from the first
+            (
+                {"n": 3, "k": 3, "edges": [[1, 2, 0], [True, 2, 0]]},
+                "each edge must be a list of integers",
+            ),
         ],
     )
     def test_hypergraph_json_types(self, tmp_path, capsys, obj, message):
