@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Collection, Optional
 
 from . import census, formulas, hypergraph, lenz
 from .exactnum import Quad3
@@ -38,7 +38,10 @@ _WORKERS_HELP = "accepted for compatibility and ignored; must be at least 1"
 
 
 def _positive_int(spec: str) -> int:
-    value = int(spec)
+    try:
+        value = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {spec!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -236,68 +239,92 @@ def cmd_hypergraph(args) -> tuple[int, str]:
     return 0, _dump_json(H.to_json())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="regsimplex",
-        description="Exact regular-simplex censuses on orthogonal-circle configurations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="build a configuration")
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, help="default 3; not with --odd")
     p.add_argument("--odd", action="store_true", help="odd-dimension skeleton")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("count", help="census a configuration file")
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["coords", "ticks", "closed"], required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--side-sq", help="restrict to this squared side (positive rational)")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--csv", action="store_true", help="one CSV line of counts")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("formula", help="evaluate a closed form")
+
+def _formula_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", choices=["fk", "t2r", "cor13", "unit", "leading"], required=True)
     p.add_argument("--n", type=int, help="for t2r/cor13/leading")
     p.add_argument("--r", type=int, help="for t2r/cor13/leading")
     p.add_argument("--k", type=int, help="for fk/leading, default 3")
     p.add_argument("--partition", help="comma-separated entries, for fk/unit")
-    p.set_defaults(func=cmd_formula)
 
-    p = sub.add_parser("maximize", help="exact maximum of f_k over partitions")
+
+def _maximize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--csv", action="store_true", help="one CSV line per maximizer")
-    p.set_defaults(func=cmd_maximize)
 
-    p = sub.add_parser("verify", help="cross-validate counting routes")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", required=True, help="single value or inclusive a..b")
     p.add_argument("--r", type=int, nargs="+", required=True, help="one or more r")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("hypergraph", help="pattern / blowup / containment")
+
+def _hypergraph_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--make-pattern", nargs=2, type=int, metavar=("R", "K"))
     group.add_argument("--blowup", type=int, metavar="T")
     group.add_argument("--contains", nargs=2, metavar=("G", "H"))
     p.add_argument("--in", dest="infile", help="hypergraph JSON, required with --blowup")
-    p.set_defaults(func=cmd_hypergraph)
 
-    for p in sub.choices.values():
-        p.add_argument("--out", help="write output to a file instead of stdout")
+
+#: Subcommand -> (help line, argument adder, command), in usage order.
+_COMMANDS = {
+    "generate": ("build a configuration", _generate_arguments, cmd_generate),
+    "count": ("census a configuration file", _count_arguments, cmd_count),
+    "formula": ("evaluate a closed form", _formula_arguments, cmd_formula),
+    "maximize": ("exact maximum of f_k over partitions", _maximize_arguments, cmd_maximize),
+    "verify": ("cross-validate counting routes", _verify_arguments, cmd_verify),
+    "hypergraph": ("pattern / blowup / containment", _hypergraph_arguments, cmd_hypergraph),
+}
+
+
+def build_parser(populate: Collection[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The regsimplex parser.  Every subcommand is registered with its help
+    line; only those named in populate (default all) get their arguments,
+    --out and the command to run."""
+    parser = argparse.ArgumentParser(
+        prog="regsimplex",
+        description="Exact regular-simplex censuses on orthogonal-circle configurations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, command) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name in populate:
+            add_arguments(p)
+            p.add_argument("--out", help="write output to a file instead of stdout")
+            p.set_defaults(func=command)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command and write its text to --out or stdout; bad input or an
-    unreadable or unwritable file is one stderr line and exit code 2."""
-    args = build_parser().parse_args(argv)
+    unreadable or unwritable file is one stderr line and exit code 2.
+
+    The top-level parser takes no option values, so the subcommand argparse
+    dispatches to, if any, is the first argument that names one; only that
+    subcommand's arguments are built.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    dispatched = [arg for arg in argv if arg in _COMMANDS][:1]
+    args = build_parser(dispatched).parse_args(argv)
     try:
         code, text = args.func(args)
         _emit(text, args.out)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from regsimplex import cli
 from regsimplex.cli import main, run_verify
 from regsimplex.lenz import config_from_json, config_to_json
 from test_census import HUGE_MODULUS
@@ -457,6 +458,25 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "--workers: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    @pytest.mark.parametrize(
+        "workers,message",
+        [
+            ("x", "argument --workers: must be a positive integer, got 'x'"),
+            ("0", "argument --workers: must be at least 1, got 0"),
+        ],
+    )
+    def test_workers_message(self, tmp_path, capsys, command, workers, message):
+        if command == "count":
+            argv = ["count", "--in", str(tmp_path / "c.json"), "--method", "ticks"]
+        else:
+            argv = ["verify", "--n", "5", "--r", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"regsimplex {command}: error: {message}"
+
     def test_process_exit_code(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -469,6 +489,53 @@ class TestBadInput:
         assert proc.stderr == (
             "regsimplex: error: --partition is required for --which fk and unit\n"
         )
+
+
+def outcome(capsys, argv):
+    """(stdout, stderr, exit code) of main(argv); a usage error's or
+    --help's SystemExit code counts as the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+class TestDispatch:
+    # main builds only the dispatched subcommand's arguments; these are the
+    # argv whose handling could tell that parser from the full one.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["bogus"],
+            *([command, "--help"] for command in
+              ("generate", "count", "formula", "maximize", "verify", "hypergraph")),
+            ["maximize", "--n", "5"],
+            ["maximize", "--n", "5", "--r", "3", "--bogus"],
+            # the command is not argv[0] here
+            ["--bogus", "maximize", "--n", "12", "--r", "3"],
+            ["--", "maximize", "--n", "12", "--r", "3"],
+            # a subcommand name as an option value
+            ["verify", "--n", "5", "--r", "3", "--workers", "maximize"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no arguments",
+    )
+    def test_same_bytes_as_full_parser(self, capsys, monkeypatch, argv):
+        dispatched = outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda populate: full())
+        assert outcome(capsys, argv) == dispatched
+
+    def test_no_parser_kept_between_calls(self, capsys):
+        maximize = ["maximize", "--n", "12", "--r", "3"]
+        first = outcome(capsys, maximize)
+        assert outcome(capsys, ["verify", "--n", "5", "--r", "3"])[2] == 0
+        assert outcome(capsys, ["hypergraph", "--make-pattern", "3", "3"])[2] == 0
+        assert outcome(capsys, maximize) == first
+        assert first[2] == 0
 
 
 class TestImports:
