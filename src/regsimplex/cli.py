@@ -298,15 +298,16 @@ _COMMANDS = {
 
 def build_parser(populate: Collection[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
     """The regsimplex parser.  Every subcommand is registered with its help
-    line; only those named in populate (default all) get their arguments,
-    --out and the command to run."""
+    line; only those named in populate (default all) get -h, their arguments,
+    --out and the command to run.  The others carry just a name and a help
+    line, which is all that the top-level usage, help and error texts read."""
     parser = argparse.ArgumentParser(
         prog="regsimplex",
         description="Exact regular-simplex censuses on orthogonal-circle configurations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, command) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, add_help=name in populate)
         if name in populate:
             add_arguments(p)
             p.add_argument("--out", help="write output to a file instead of stdout")

@@ -148,6 +148,13 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     G-vertices of at least its degree, intersected with the shadow of the
     image of every placed H-neighbour and the link of the image of e - hv
     for every edge e the step closes; they are tried lowest first.
+    Twins are ordered (see _twins): H-vertices u and v are twins when
+    swapping them maps H's edges onto themselves.  Twins form classes, and
+    any permutation inside a class is an automorphism of H, so composing a
+    copy with one gives another copy; hence if there is a copy there is one
+    whose images increase, within each class, in the order the plan places
+    the class.  The search looks for that one only: a step keeps just the
+    candidates above the image of the twin placed last before it.
     Only the vertices that lie in an edge are indexed (see _support): once
     H.n <= G.n, an isolated H-vertex can take any unused G-vertex.
     Intended for desk scale (v(H) up to ~16, v(G) up to ~40).
@@ -164,6 +171,8 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     degree_ok = {
         d: _mask(g for g in range(G.n) if g_deg[g] >= d) for d in set(h_deg)
     }
+    twin = _twins(h_edges, h_deg)
+    last = {}
     plan = []
     placed = 0
     while len(plan) < H.n:
@@ -179,7 +188,9 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
             covered |= rest
         neighbours = h_shadow[hv] & placed & ~covered
         rests = [tuple(_bits(rest)) for rest in closes[hv]]
-        plan.append((hv, degree_ok[h_deg[hv]], tuple(_bits(neighbours)), rests))
+        after = last.get(twin[hv])
+        last[twin[hv]] = hv
+        plan.append((hv, degree_ok[h_deg[hv]], after, tuple(_bits(neighbours)), rests))
         placed |= 1 << hv
     every = (1 << G.n) - 1
     shadow = {1 << v: row for v, row in enumerate(g_shadow)}
@@ -216,6 +227,26 @@ def _index(F: Hypergraph) -> tuple[set[int], list[int], list[int]]:
             deg[v] += 1
             shadow[v] |= mask
     return edges, deg, [row & ~(1 << v) for v, row in enumerate(shadow)]
+
+
+def _twins(edges: set[int], deg: list[int]) -> list[int]:
+    """twin[v]: the least vertex u such that swapping u and v maps the edge
+    bitsets edges onto themselves, v itself when there is none.  Twinhood
+    is an equivalence (the swaps (u v) and (v w) give (u w)), so v is
+    tested against one member of each earlier class, and only at equal
+    degree."""
+    twin = []
+    for v, d in enumerate(deg):
+        for u in set(twin):
+            pair = 1 << u | 1 << v
+            # the swap fixes an edge holding both or neither of u and v
+            moved = (e for e in edges if e & pair not in (0, pair))
+            if deg[u] == d and all(e ^ pair in edges for e in moved):
+                twin.append(u)
+                break
+        else:
+            twin.append(v)
+    return twin
 
 
 class _Links(dict):
@@ -259,11 +290,14 @@ def _clique_number(shadow: list[int]) -> int:
 def _place(plan, step: int, image: list[int], free: int, shadow, link) -> bool:
     """Map the H-vertices of plan[step:].  image[u] is the bit of the image
     of each H-vertex u placed before, free holds the unused G-vertices, and
-    shadow and link are G's index, shadow keyed by a vertex's bit."""
+    shadow and link are G's index, shadow keyed by a vertex's bit.  A step
+    whose twin after was placed before takes only images above after's."""
     if step == len(plan):
         return True
-    hv, cand, neighbours, closing = plan[step]
+    hv, cand, after, neighbours, closing = plan[step]
     cand &= free
+    if after is not None:
+        cand &= -(image[after] << 1)
     for u in neighbours:
         cand &= shadow[image[u]]
     for rest in closing:

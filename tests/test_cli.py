@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -520,6 +521,12 @@ class TestDispatch:
             ["--", "maximize", "--n", "12", "--r", "3"],
             # a subcommand name as an option value
             ["verify", "--n", "5", "--r", "3", "--workers", "maximize"],
+            # the other subcommands have no -h; each of these reaches only
+            # the top-level one or the dispatched one's
+            ["-h", "maximize"],
+            ["maximize", "--n", "12", "--r", "3", "-h"],
+            ["--", "-h"],
+            ["--help", "bogus"],
         ],
         ids=lambda argv: " ".join(argv) or "no arguments",
     )
@@ -528,6 +535,20 @@ class TestDispatch:
         full = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda populate: full())
         assert outcome(capsys, argv) == dispatched
+
+    def test_maximize_builds_its_own_arguments_only(self, capsys, monkeypatch):
+        # -h, --n, --r, --k, --csv and --out for maximize, and the top-level
+        # -h; the five other subcommands get none (12 with their -h each)
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert outcome(capsys, ["maximize", "--n", "12", "--r", "3"])[2] == 0
+        assert len(calls) == 7
 
     def test_no_parser_kept_between_calls(self, capsys):
         maximize = ["maximize", "--n", "12", "--r", "3"]

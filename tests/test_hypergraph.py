@@ -203,6 +203,26 @@ class TestContainsCopy:
             G = Hypergraph(n, 3, frozenset(edges))
             assert contains_copy(G, H)
 
+    def test_blowup_agrees_with_limited_search(self):
+        # Every vertex of a 2-blowup has a twin.  Here H blows up two
+        # triples sharing a pair: the two copies of each shared vertex form
+        # a class, and the four copies of the two unshared ones form one.
+        # Half the hosts get a planted copy; the twin order must not lose it.
+        H = blowup(Hypergraph(4, 3, frozenset(map(frozenset, [(0, 1, 2), (0, 1, 3)]))), 2)
+        assert hypergraph._twins(*hypergraph._index(H)[:2]) == [0, 0, 2, 2, 4, 4, 4, 4]
+        rng = random.Random(23)
+        answers = []
+        for i in range(16):
+            n = rng.randint(8, 10)
+            G = random_hypergraph(rng, n, 3, rng.randint(20, 60))
+            if i % 2:
+                relabel = rng.sample(range(n), H.n)
+                planted = {frozenset(relabel[v] for v in e) for e in H.edges}
+                G = Hypergraph(n, 3, G.edges | planted)
+            answers.append(contains_copy(G, H))
+            assert answers[-1] == _injective_search_limited(G, H), G
+        assert True in answers[::2] and False in answers
+
     def test_lenz_simplex_graph_vs_pattern(self):
         # two dodecagons plus a singleton circle; cross-validated against the
         # all-injections route on the same instance via a planted relabeling
@@ -284,40 +304,64 @@ class TestLinksOnFirstUse:
         assert in_an_edge and in_no_edge
 
 
+@pytest.fixture
+def place_calls(monkeypatch):
+    """A one-item list that counts the _place calls made during the test."""
+    calls = [0]
+    place = hypergraph._place
+
+    def counting(*args):
+        calls[0] += 1
+        return place(*args)
+
+    monkeypatch.setattr(hypergraph, "_place", counting)
+    return calls
+
+
 class TestSameSearchAnyLabels:
-    # _place calls per query, recorded with a link table built up front from
-    # every (edge, vertex) pair of G; finding links on first use must not
-    # change which nodes the search visits
+    # _place calls per query, with twins placed in increasing order; finding
+    # links on first use must not change which nodes the search visits
     PLANTED_CALLS = [
+        132, 69, 97, 32, 21, 11, 77, 879, 245, 3565, 1791, 1348, 16, 156,
+        1378, 449, 15, 260, 56, 92, 26, 10, 25, 68, 404, 560, 2653,
+        682, 404, 120, 31, 768, 8, 8, 8, 8, 8, 8, 8, 8,
+    ]
+    # summed over the 60 queries of each of TestContainsCopy.ORACLE_CASES
+    ORACLE_CALLS = [277, 54, 56, 119, 646]
+    # the same before twins were ordered, recorded with a link table built
+    # up front from every (edge, vertex) pair of G; ordering twins only
+    # removes nodes
+    UNORDERED_PLANTED_CALLS = [
         132, 69, 97, 32, 21, 11, 77, 879, 245, 3565, 1791, 1348, 16, 156,
         1378, 449, 15, 588, 110, 147, 29, 10, 49, 118, 5115, 7649, 29630,
         4227, 6101, 2310, 32, 9161, 8, 8, 8, 8, 8, 8, 8, 8,
     ]
-    # summed over the 60 queries of each of TestContainsCopy.ORACLE_CASES
-    ORACLE_CALLS = [299, 54, 56, 126, 1024]
+    UNORDERED_ORACLE_CALLS = [299, 54, 56, 126, 1024]
 
-    def test_place_calls_unchanged(self, monkeypatch):
-        calls = [0]
-        place = hypergraph._place
-
-        def counting(*args):
-            calls[0] += 1
-            return place(*args)
-
-        monkeypatch.setattr(hypergraph, "_place", counting)
+    def test_place_calls_unchanged(self, place_calls):
         planted = []
         for G, H in _planted_queries():
-            calls[0] = 0
+            place_calls[0] = 0
             assert contains_copy(G, H)
-            planted.append(calls[0])
+            planted.append(place_calls[0])
         assert planted == self.PLANTED_CALLS
+        assert all(map(int.__le__, planted, self.UNORDERED_PLANTED_CALLS))
         oracle = []
         for case in TestContainsCopy.ORACLE_CASES:
-            calls[0] = 0
+            place_calls[0] = 0
             for G, H in _oracle_queries(*case):
                 contains_copy(G, H)
-            oracle.append(calls[0])
+            oracle.append(place_calls[0])
         assert oracle == self.ORACLE_CALLS
+        assert all(map(int.__le__, oracle, self.UNORDERED_ORACLE_CALLS))
+
+    def test_blowup_probe_refuted(self, place_calls):
+        # The 2-blowup of H(2, 3) passes the clique bound in the (12, 12, 1)
+        # host; ordering its six twin pairs keeps the refutation under
+        # 600,000 nodes, so it answers in about a second.
+        G = build_simplex_hypergraph(build_even_config(25, 3, (12, 12, 1)), 3)
+        assert not contains_copy(G, blowup(make_pattern_H(2, 3), 2))
+        assert place_calls[0] == 594182
 
     def test_relabelling_keeps_the_answer(self):
         # vertices moved injectively into [0, 3n) leave gaps that _support
