@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .lenz import theorem12_partition
 
@@ -104,17 +105,78 @@ def asymptotic_leading(n: int, r: int, k: int) -> Fraction:
     return comb(r, k) * Fraction(n, r) ** k
 
 
+def _times(p: list[int], s: int, g: int) -> list[int]:
+    """p * (1 + s x + g x^2), truncated to the length of p."""
+    return [p[0], p[1] + s * p[0],
+            *[p[i] + s * p[i - 1] + g * p[i - 2] for i in range(2, len(p))]]
+
+
+def _candidates(n: int, r: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every nondecreasing length-r vector of spread <= 4 summing to n, as
+    its counts (a, m_0, ..., m_4) with m_0 >= 1, paired with its f_k.
+
+    The vector's f_k is [x^k] of prod_j F_j^(m_j), F_j = 1 + s_j x + g_j x^2
+    with s_j = a + j and g_j its good-pair term, plus sum_j m_j t_j at k = 3
+    with t_j its triangle term.  The running product F_0^m_0 F_1^m_1 F_2^m_2
+    gains one factor per step of the loops over m_0, m_1 and m_2, and
+    [x^k] is its dot product with F_3^m_3 F_4^m_4, from a table per a.
+    """
+    unit = [1] + [0] * k
+    for a in range(max(0, -(-(n + 4) // r) - 4), n // r + 1):
+        x = n - r * a
+        s0, s1, s2, s3, s4 = range(a, a + 5)
+        g0, g1, g2, g3, g4 = map(_good_pair_term, range(a, a + 5))
+        t0, t1, t2, t3, t4 = map(_triangle_term, range(a, a + 5)) if k == 3 else (0,) * 5
+        tails = [[unit]]  # tails[m3][m4] = F_3^m3 F_4^m4, filled on first use
+        p0 = unit
+        # The t = r - m0 entries above a add 1 to 4 each to a, x in all, so
+        # x/4 <= t <= x; the s entries past a + 1 add 2 to 4, e in all.  The
+        # ranges of m1 and m2 hold exactly the counts that leave such a sum
+        # possible.
+        for m0 in range(1, r - (x + 3) // 4 + 1):
+            p0 = _times(p0, s0, g0)
+            t = r - m0
+            if t > x:
+                continue
+            lo1, p1 = max(0, 2 * t - x), p0
+            for _ in range(lo1):
+                p1 = _times(p1, s1, g1)
+            for m1 in range(lo1, min(t, (4 * t - x) // 3) + 1):
+                if m1 > lo1:
+                    p1 = _times(p1, s1, g1)
+                s, e = t - m1, x - m1
+                lo2, p2 = max(0, 3 * s - e), p1
+                for _ in range(lo2):
+                    p2 = _times(p2, s2, g2)
+                for m2 in range(lo2, min(s, (4 * s - e) // 2) + 1):
+                    if m2 > lo2:
+                        p2 = _times(p2, s2, g2)
+                    m4 = e - 3 * s + m2
+                    m3 = s - m2 - m4
+                    while len(tails) <= m3:
+                        tails.append([_times(tails[-1][0], s3, g3)])
+                    row = tails[m3]
+                    while len(row) <= m4:
+                        row.append(_times(row[-1], s4, g4))
+                    value = sum(map(mul, p2, reversed(row[m4])))
+                    value += m0 * t0 + m1 * t1 + m2 * t2 + m3 * t3 + m4 * t4
+                    yield (a, m0, m1, m2, m3, m4), value
+
+
 def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
     """The maximum of f_k over all partitions of n into r classes, with the
-    full tie set as nondecreasing vectors.
+    full tie set as nondecreasing vectors in lexicographic order.
 
     Every maximizer has spread max - min <= 4, so only the vectors of spread
-    <= 4 are enumerated.  The least entry a is at most n/r and the greatest,
-    at most a + 4, is at least n/r, so a runs from max(0, ceil(n/r) - 4) to
-    floor(n/r).  Such a vector is fixed by the counts m_0, ..., m_4 of the
-    values a, ..., a + 4, with m_0 >= 1; the sum fixes m_3 and m_4 once
-    m_0, m_1 and m_2 are chosen.  Walking a up and m_0, m_1, m_2 down gives
-    the vectors in lexicographic order, which is the order of the tie set.
+    <= 4 are enumerated.  The least entry a is at most n/r, and the other
+    r - 1 entries are at most a + 4, so n <= r a + 4(r - 1) and a runs
+    from max(0, ceil((n + 4)/r) - 4) to floor(n/r).  Such a vector is fixed
+    by the counts m_0, ..., m_4 of the values a, ..., a + 4, with m_0 >= 1;
+    the sum fixes m_3 and m_4 once m_0, m_1 and m_2 are chosen.
+    `_candidates` evaluates each one from running products of the five
+    per-value factors, with a few O(k) factor multiplications and one dot
+    product, not a fresh O(r k) evaluation.  Only the tied candidates
+    become vectors; sorting them puts the tie set in lexicographic order.
 
     Exchange lemma.  Let v have spread D = b - a >= 5, where a = min(v) and
     b = max(v), and let v' move 4 points from the b-class to the a-class.
@@ -145,23 +207,14 @@ def maximize_f_k(n: int, r: int, k: int) -> FormulaResult:
         raise ValueError("need r >= k >= 3")
     if n < k:
         raise ValueError("need n >= k")
-    best, argmax = -1, []
-    for a in range(max(0, -(-n // r) - 4), n // r + 1):
-        x = n - r * a
-        for m0 in range(r, 0, -1):
-            # The t entries above a add 1 to 4 each to a, x in all, and the s
-            # entries past a + 1 add 2 to 4, e in all.  The ranges of m1 and
-            # m2 hold exactly the counts that leave such a sum possible.
-            t = r - m0
-            for m1 in range(min(t, (4 * t - x) // 3), max(0, 2 * t - x) - 1, -1):
-                s, e = t - m1, x - m1
-                for m2 in range(min(s, (4 * s - e) // 2), max(0, 3 * s - e) - 1, -1):
-                    m4 = e - 3 * s + m2
-                    vec = ((a,) * m0 + (a + 1,) * m1 + (a + 2,) * m2
-                           + (a + 3,) * (s - m2 - m4) + (a + 4,) * m4)
-                    value = eval_f_k(vec, k).value
-                    if value > best:
-                        best, argmax = value, [vec]
-                    elif value == best:
-                        argmax.append(vec)
+    best, ties = -1, []
+    for counts, value in _candidates(n, r, k):
+        if value > best:
+            best, ties = value, [counts]
+        elif value == best:
+            ties.append(counts)
+    argmax = sorted(
+        (a,) * m0 + (a + 1,) * m1 + (a + 2,) * m2 + (a + 3,) * m3 + (a + 4,) * m4
+        for a, m0, m1, m2, m3, m4 in ties
+    )
     return FormulaResult(value=best, argmax=tuple(argmax))

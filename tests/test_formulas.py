@@ -6,9 +6,9 @@ from math import ceil, floor
 import pytest
 from hypothesis import given, strategies as st
 
-from regsimplex import formulas
 from regsimplex.census import count_structured
 from regsimplex.formulas import (
+    _candidates,
     _good_pair_term,
     _triangle_term,
     asymptotic_leading,
@@ -134,6 +134,47 @@ def wide_sample():
     return [(rng.randint(3 + r % 4, 300), r, 3 + r % 4) for r in range(11, 31)]
 
 
+def counts_vector(counts):
+    """The nondecreasing vector with counts (a, m_0, ..., m_4)."""
+    a, *ms = counts
+    return sum(((a + j,) * m for j, m in enumerate(ms)), ())
+
+
+def per_candidate_maximum(n, r, k):
+    """Reference (value, argmax) of the maximizer that calls eval_f_k once
+    per candidate: the vectors of spread <= 4 by their counts, walked in
+    lexicographic order."""
+    best, argmax = -1, []
+    for a in range(max(0, -(-n // r) - 4), n // r + 1):
+        x = n - r * a
+        for m0 in range(r, 0, -1):
+            t = r - m0
+            for m1 in range(min(t, (4 * t - x) // 3), max(0, 2 * t - x) - 1, -1):
+                s, e = t - m1, x - m1
+                for m2 in range(min(s, (4 * s - e) // 2), max(0, 3 * s - e) - 1, -1):
+                    m4 = e - 3 * s + m2
+                    vec = counts_vector((a, m0, m1, m2, s - m2 - m4, m4))
+                    value = eval_f_k(vec, k).value
+                    if value > best:
+                        best, argmax = value, [vec]
+                    elif value == best:
+                        argmax.append(vec)
+    return best, tuple(argmax)
+
+
+def per_candidate_sample():
+    """Seeded (n, r, k) cases for r = 3..12, k = 3..min(r, 8), n <= 300:
+    per (r, k) one n below r where n >= k allows it, one up to 60 and one
+    above."""
+    rng = random.Random(24)
+    return [
+        (n, r, k)
+        for r in range(3, 13)
+        for k in range(3, min(r, 8) + 1)
+        for n in (rng.randint(k, max(k, r - 1)), rng.randint(r, 60), rng.randint(61, 300))
+    ]
+
+
 @st.composite
 def partitions_and_k(draw):
     r = draw(st.integers(3, 10))
@@ -248,19 +289,18 @@ class TestMaximize:
                 res = maximize_f_k(n, r, k)
                 assert (res.value, res.argmax) == exhaustive_maximum(n, r, k), (n, r, k)
 
-    def test_enumerates_spread_at_most_4_of_box(self, monkeypatch):
-        seen = []
-
-        def recording_eval_f_k(vec, k):
-            seen.append(vec)
-            return eval_f_k(vec, k)
-
-        monkeypatch.setattr(formulas, "eval_f_k", recording_eval_f_k)
+    def test_enumerates_spread_at_most_4_of_box(self):
+        # _candidates is the walk that maximize_f_k consumes: the counts
+        # (a, m_0, ..., m_4) of each candidate, with its f_k.
         for n, r, _ in box_sample():
-            seen.clear()
-            maximize_f_k(n, r, 3)
             expected = [v for v in box_vectors(n, r) if max(v) - min(v) <= 4]
-            assert seen == expected, (n, r)
+            for k in range(3, r + 1):
+                seen = []
+                for counts, value in _candidates(n, r, k):
+                    vec = counts_vector(counts)
+                    assert value == eval_f_k(vec, k).value, (vec, k)
+                    seen.append(vec)
+                assert sorted(seen) == expected, (n, r, k)
 
     def test_matches_box_reference(self):
         for n, r, k in box_sample():
@@ -291,6 +331,28 @@ class TestMaximize:
             before = eval_f_k((n1, n2, *rest), 3).value
             after = eval_f_k((n1 - 2, n2 + 2, *rest), 3).value
             assert after > before
+
+
+class TestMaximizePerCandidate:
+    """maximize_f_k against the per-candidate eval_f_k maximizer it replaced."""
+
+    def test_matches_on_seeded_sample(self):
+        cases = per_candidate_sample()
+        assert any(n < r for n, r, _ in cases)
+        for n, r, k in cases:
+            res = maximize_f_k(n, r, k)
+            assert (res.value, res.argmax) == per_candidate_maximum(n, r, k), (n, r, k)
+
+    @pytest.mark.parametrize("n,r,k", [(120, 8, 6), (300, 12, 6)])
+    def test_matches_at_ci_cases(self, n, r, k):
+        res = maximize_f_k(n, r, k)
+        assert (res.value, res.argmax) == per_candidate_maximum(n, r, k)
+
+    def test_paper_scale_value(self):
+        # per_candidate_maximum gives the same, about 35 times slower.
+        res = maximize_f_k(600, 100, 6)
+        assert res.value == 58076907249900
+        assert res.argmax == ((6,) * 100,)
 
 
 class TestMaximizeWide:
