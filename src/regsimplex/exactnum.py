@@ -123,7 +123,6 @@ class Quad3:
 
 
 Q3_ZERO = Quad3.of(0)
-Q3_ONE = Quad3.of(1)
 
 # cos(s*30deg) for s = 0..11
 _COS30 = [

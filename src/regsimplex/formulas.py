@@ -30,6 +30,12 @@ def _triangle_term(n_i: int) -> int:
     return (n_i - p_i) // 3 + (p_i - 8 if p_i > 8 else 0)
 
 
+def _times(p: list[int], s: int, g: int) -> list[int]:
+    """p * (1 + s x + g x^2), truncated to the length of p."""
+    return [p[0], p[1] + s * p[0],
+            *[p[i] + s * p[i - 1] + g * p[i - 2] for i in range(2, len(p))]]
+
+
 def count_polynomial(
     sizes: Sequence[int], good_pairs: Sequence[int], k: int
 ) -> tuple[int, int]:
@@ -41,12 +47,10 @@ def count_polynomial(
     c_k all mixed simplices: each circle contributes no vertex, one of its
     s_i points, or one of its g_i good pairs.
     """
-    e = [1] + [0] * k
-    c = [1] + [0] * k
+    e = c = [1] + [0] * max(k, 1)  # _times reads p[1]
     for s, g in zip(sizes, good_pairs, strict=True):
-        for j in range(k, 0, -1):
-            e[j] += s * e[j - 1]
-            c[j] += s * c[j - 1] + (g * c[j - 2] if j > 1 else 0)
+        e = _times(e, s, 0)
+        c = _times(c, s, g)
     return e[k], c[k]
 
 
@@ -103,12 +107,6 @@ def asymptotic_leading(n: int, r: int, k: int) -> Fraction:
     if n < r:
         raise ValueError("need n >= r")
     return comb(r, k) * Fraction(n, r) ** k
-
-
-def _times(p: list[int], s: int, g: int) -> list[int]:
-    """p * (1 + s x + g x^2), truncated to the length of p."""
-    return [p[0], p[1] + s * p[0],
-            *[p[i] + s * p[i - 1] + g * p[i - 2] for i in range(2, len(p))]]
 
 
 def _candidates(n: int, r: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:

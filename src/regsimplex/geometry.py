@@ -14,7 +14,27 @@ from typing import Optional, Sequence
 from .exactnum import Q3_ZERO, Quad3
 
 
-class Point:
+class Value:
+    """Base of the value classes: equality (same exact type only), hashing
+    and repr all come from the field tuple that a subclass's `_key` returns.
+    `_key` lists the fields in `__init__`'s order, so the repr evaluates
+    back to an equal value."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class Point(Value):
     """A point of Q(rt3)^d; a value, never mutated."""
 
     __slots__ = ("coords",)
@@ -22,22 +42,14 @@ class Point:
     def __init__(self, coords: tuple[Quad3, ...]):
         self.coords = coords
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not Point:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Point({self.coords!r})"
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     def __len__(self) -> int:
         return len(self.coords)
 
 
-class PointSet:
+class PointSet(Value):
     """Pairwise distinct points of one ambient dimension; a value, never
     mutated."""
 
@@ -52,16 +64,8 @@ class PointSet:
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not PointSet:
-            return NotImplemented
-        return self.dim == other.dim and self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.points))
-
-    def __repr__(self) -> str:
-        return f"PointSet{(self.dim, self.points)!r}"
+    def _key(self) -> tuple:
+        return self.dim, self.points
 
     def __len__(self) -> int:
         return len(self.points)

@@ -13,11 +13,11 @@ from math import comb
 from typing import Union
 
 from .census import _bits, _clique_frontiers, coordinate_simplices, structured_simplices
-from .geometry import PointSet
+from .geometry import PointSet, Value
 from .lenz import CircleConfig, check_json_type
 
 
-class Hypergraph:
+class Hypergraph(Value):
     """A k-uniform hypergraph on the vertices 0..n-1; a value, never
     mutated."""
 
@@ -38,17 +38,6 @@ class Hypergraph:
 
     def _key(self) -> tuple:
         return self.n, self.k, self.edges
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Hypergraph:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Hypergraph{self._key()!r}"
 
     @property
     def e(self) -> int:

@@ -17,13 +17,13 @@ from math import ceil
 from typing import NamedTuple
 
 from .exactnum import Quad3, cos30_table, sin30_table, rational_to_str, rational_from_str
-from .geometry import Point, PointSet
+from .geometry import Point, PointSet, Value
 
 #: remainder fill order v1,v4,v7,v10,v2,v5,v8,v11,v3,v6,v9,v12 (0-indexed)
 REMAINDER_ORDER = (0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11)
 
 
-class Component:
+class Component(Value):
     """One circle (or 2-sphere) of a configuration; a value, never mutated."""
 
     __slots__ = ("kind", "modulus", "ticks")
@@ -41,17 +41,6 @@ class Component:
 
     def _key(self) -> tuple:
         return self.kind, self.modulus, self.ticks
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Component:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Component{self._key()!r}"
 
     @property
     def size(self) -> int:

@@ -188,6 +188,8 @@ class TestCountPolynomial:
         assert count_polynomial((2, 3), (4, 5), 2) == (6, 15)
         assert count_polynomial((2, 3), (4, 5), 4) == (0, 20)
         assert count_polynomial((), (), 0) == (1, 1)
+        assert count_polynomial((2, 3), (4, 5), 0) == (1, 1)
+        assert count_polynomial((2, 3), (4, 5), 1) == (5, 5)
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):

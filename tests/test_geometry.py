@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,8 @@ from regsimplex.geometry import (
     sq_dist,
     spans_orthogonal,
 )
-from regsimplex.lenz import build_even_config, embed_config
+from regsimplex.hypergraph import Hypergraph
+from regsimplex.lenz import Component, build_even_config, embed_config
 
 
 def pt(*vals) -> Point:
@@ -24,6 +27,43 @@ def dodecagon_vertex(step: int, dim: int = 2, plane: int = 0) -> Point:
     coords[2 * plane] = cos30_table(step % 12)
     coords[2 * plane + 1] = sin30_table(step % 12)
     return Point(tuple(coords))
+
+
+_P, _Q = pt(1, Fraction(1, 2)), Point((Quad3.of(0), Quad3.of(0, 1)))
+
+
+class TestValueSemantics:
+    """The value classes: Quad3 with its own operators, the others through
+    geometry.Value."""
+
+    NAMESPACE = {
+        c.__name__: c for c in (Fraction, Quad3, Point, PointSet, Component, Hypergraph)
+    }
+
+    @pytest.mark.parametrize(
+        "cls, fields, changed",
+        [
+            (Quad3, (Fraction(1, 2), Fraction(3)), (Fraction(1, 2), Fraction(-3))),
+            (Point, (_P.coords,), (_Q.coords,)),
+            (PointSet, (2, (_P, _Q)), (2, (_Q, _P))),
+            (Component, ("circle", 12, (0, 3)), ("circle", 24, (0, 3))),
+            (
+                Hypergraph,
+                (4, 3, frozenset({frozenset({0, 1, 2})})),
+                (4, 3, frozenset({frozenset({0, 1, 3})})),
+            ),
+        ],
+    )
+    def test_value(self, cls, fields, changed):
+        x = cls(*fields)
+        assert x == cls(*fields) and hash(x) == hash(cls(*fields))
+        assert x != cls(*changed)
+        assert x != fields and fields != x
+        assert x.__eq__(object()) is NotImplemented
+        # only the exact type compares, not a subclass with the same fields
+        assert x.__eq__(type("Sub", (cls,), {"__slots__": ()})(*fields)) is NotImplemented
+        assert not hasattr(x, "__dict__")
+        assert eval(repr(x), self.NAMESPACE) == x
 
 
 class TestSqDist:
