@@ -104,21 +104,20 @@ def _side_modes(config: CircleConfig, side_sq: Optional[Fraction]):
 
 
 def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]:
-    """Two graphs on the labeled points as int bitsets, plus circle masks.
+    """The compatible-pair, cross-circle and third-turn graphs on the
+    labeled points, as full neighbour rows (int bitsets).
 
-    Row i of each graph holds only the neighbors with a larger index.  The
-    compatible-pair graph joins points on different circles, and points on
-    one circle a quarter turn apart; the third-turn graph joins points on
-    one circle a third of a turn apart.  circle[i] has a bit for every
-    point on the circle of point i.  Each point looks its partners up at
-    the quarter and third steps of CHORD_BY_TWELFTHS in a dict from tick
-    residue to point index, so a circle costs O(its points) whatever its
-    modulus.
+    The cross-circle graph joins points on different circles; the
+    compatible-pair graph adds the pairs on one circle a quarter turn
+    apart; the third-turn graph joins points on one circle a third of a
+    turn apart.  Each point looks its partners up at the quarter and third
+    steps of CHORD_BY_TWELFTHS in a dict from tick residue to point index,
+    so a circle costs O(its points) whatever its modulus.
     """
     compatible: list[int] = []
+    cross: list[int] = []
     thirds: list[int] = []
-    circle: list[int] = []
-    n = config.n
+    everyone = (1 << config.n) - 1
     start = 0
     for comp in config.components:
         N = comp.modulus
@@ -129,22 +128,21 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
         ]
         index = {t % N: i for i, t in enumerate(comp.ticks, start)}
         end = start + comp.size
-        later_circles = ((1 << n) - 1) ^ ((1 << end) - 1)
-        mask = ((1 << end) - 1) ^ ((1 << start) - 1)
-        for i, t in enumerate(comp.ticks, start):
+        off_circle = everyone ^ ((1 << end) - (1 << start))
+        for t in comp.ticks:
             quarter = third = 0
             for step, kind in steps:
-                j = index.get((t + step) % N, -1)
-                if j > i:
+                j = index.get((t + step) % N)
+                if j is not None:
                     if kind == QUARTER:
                         quarter |= 1 << j
                     else:
                         third |= 1 << j
-            compatible.append(later_circles | quarter)
+            compatible.append(off_circle | quarter)
+            cross.append(off_circle)
             thirds.append(third)
-            circle.append(mask)
         start = end
-    return compatible, thirds, circle
+    return compatible, cross, thirds
 
 
 def _bits(mask: int):
@@ -158,9 +156,12 @@ def _bits(mask: int):
 def _clique_frontiers(graph: list[int], k: int):
     """Walk the k-cliques of graph in index order, one level short.
 
-    Yields (prefix, ext) for every (k-1)-clique prefix that extends at all:
-    ext is the bitset of common neighbors above the prefix, and each of its
-    bits completes one k-clique.
+    Row v of graph is the neighbour bitset of v, full or only the
+    neighbours above v: this walk, _count_cliques and _count_weighted read
+    only the neighbours above each vertex.  Yields (prefix, ext) for every
+    (k-1)-clique prefix that extends at all: ext is the bitset of common
+    neighbors above the prefix, and each of its bits completes one
+    k-clique.
     """
     return _extend(graph, k - 2, (), (1 << len(graph)) - 1)
 
@@ -188,29 +189,23 @@ def _cliques(graphs, k: int):
                 yield prefix + (w,)
 
 
-def _twin_classes(
-    upper: list[int], circle: list[int]
-) -> tuple[int, list[int], list[int]]:
-    """False-twin classes of a graph from _pair_graphs, whose upper rows
-    join every pair of points on different circles.
+def _twin_classes(graph: list[int]) -> tuple[int, list[int], list[int]]:
+    """False-twin classes of a graph given by full neighbour rows: the
+    points with equal rows.  No point is its own neighbour, so twins are
+    never adjacent and a clique holds at most one point of each class.
 
-    A point's full row is then every point off its circle plus its
-    same-circle neighbours, so points with equal open neighbourhoods are
-    those with one circle and one same-circle row.  Returns the bitset of
-    class representatives (the least index of each class), sizes (sizes[v]
-    is the class size of representative v) and the unary weight planes:
-    planes[j] holds the representatives of classes with more than j + 1
-    members, so a bitset x of representatives stands for x.bit_count()
-    points plus one popcount of x & plane per plane.
+    Returns the bitset of class representatives (the least index of each
+    class), sizes (sizes[v] is the class size of representative v) and the
+    unary weight planes: planes[j] holds the representatives of classes
+    with more than j + 1 members, so a bitset x of representatives stands
+    for x.bit_count() points plus one popcount of x & plane per plane.
     """
-    lower = [0] * len(upper)  # same-circle neighbours below, complete at i
-    sizes = [0] * len(upper)
+    sizes = [0] * len(graph)
     planes: list[int] = []
-    classes: dict[tuple[int, int], int] = {}  # (row, circle) -> representative
+    classes: dict[int, int] = {}  # row -> representative
     reps = 0
-    for i, (row, mask) in enumerate(zip(upper, circle)):
-        row &= mask
-        rep = classes.setdefault((row | lower[i], mask), i)
+    for i, row in enumerate(graph):
+        rep = classes.setdefault(row, i)
         twins = sizes[rep]
         sizes[rep] = twins + 1
         if not twins:
@@ -219,17 +214,13 @@ def _twin_classes(
             planes.append(1 << rep)
         else:
             planes[twins - 1] |= 1 << rep
-        bit = 1 << i
-        while row:
-            low = row & -row
-            row ^= low
-            lower[low.bit_length() - 1] |= bit
     return reps, sizes, planes
 
 
 def _count_cliques(graph: list[int], left: int, cand: int) -> int:
-    """Number of left-cliques of graph among the points of the bitset cand
-    (left >= 2), counted one level short by adding popcounts."""
+    """Number of left-cliques of graph (rows as for _clique_frontiers)
+    among the points of the bitset cand (left >= 2), counted one level
+    short by adding popcounts."""
     total = 0
     while cand:
         low = cand & -cand
@@ -243,8 +234,9 @@ def _count_cliques(graph: list[int], left: int, cand: int) -> int:
 def _count_weighted(
     graph: list[int], left: int, cand: int, sizes: list[int], planes: list[int]
 ) -> int:
-    """_count_cliques over class representatives (see _twin_classes): each
-    left-clique among cand counts the product of its class sizes."""
+    """_count_cliques over the class representatives of graph's full rows
+    (see _twin_classes): each left-clique among cand counts the product of
+    its class sizes."""
     total = 0
     while cand:
         low = cand & -cand
@@ -269,7 +261,7 @@ def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
     and, for k = 3, the triangles of the third-turn graph."""
     if k < 3:
         raise ValueError("need k >= 3")
-    compatible, thirds, _ = _pair_graphs(config)
+    compatible, _, thirds = _pair_graphs(config)
     graphs = (compatible, thirds) if k == 3 else (compatible,)
     return list(_cliques(graphs, k))
 
@@ -282,21 +274,19 @@ def brute_force_structured(
     Three points on one circle are never pairwise a quarter turn apart, so
     the k-cliques of the compatible-pair graph (see _pair_graphs) are
     exactly the mixed simplices, delta1 + delta2; for k = 3 the triangles
-    of the third-turn graph are the single-circle ones.  Clearing the
-    same-circle bits leaves the cross-circle graph, whose k-cliques are
-    the delta1 simplices.  Both mixed counts walk the false-twin quotient
-    of their graph (see _twin_classes); the cross-circle graph's has one
-    class per circle.
+    of the third-turn graph are the single-circle ones.  The k-cliques of
+    the cross-circle graph are the delta1 simplices.  Both mixed counts
+    walk the false-twin quotient of their graph (see _twin_classes); the
+    cross-circle graph's has one class per circle.
     """
     if k < 3:
         raise ValueError("need k >= 3")
     allow_mixed, allow_single = _side_modes(config, side_sq)
-    compatible, thirds, circle = _pair_graphs(config)
+    compatible, cross, thirds = _pair_graphs(config)
     d1 = d2 = d3 = 0
     if allow_mixed:
-        cross = [row & ~mask for row, mask in zip(compatible, circle)]
-        d1 = _count_weighted(cross, k, *_twin_classes(cross, circle))
-        d2 = _count_weighted(compatible, k, *_twin_classes(compatible, circle)) - d1
+        d1 = _count_weighted(cross, k, *_twin_classes(cross))
+        d2 = _count_weighted(compatible, k, *_twin_classes(compatible)) - d1
     if k == 3 and allow_single:
         d3 = _count_cliques(thirds, 3, (1 << config.n) - 1)
     return CountReport(d1, d2, d3)

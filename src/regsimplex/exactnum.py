@@ -22,16 +22,6 @@ from functools import total_ordering
 Rational = Fraction
 
 
-def rational_from_str(s: str) -> Rational:
-    """Parse "num/den" (den omitted when 1)."""
-    return Fraction(s)
-
-
-def rational_to_str(x: Rational) -> str:
-    """Serialize as "num/den", omitting "/1"."""
-    return str(Fraction(x))
-
-
 @total_ordering
 class Quad3:
     """The real number a + b*rt3 with a, b rational; a value, never mutated.
@@ -112,7 +102,7 @@ class Quad3:
         return float(self.a) + float(self.b) * 3 ** 0.5
 
     def __str__(self) -> str:
-        return f"{rational_to_str(self.a)}+{rational_to_str(self.b)}*rt3"
+        return f"{Fraction(self.a)}+{Fraction(self.b)}*rt3"
 
     @staticmethod
     def from_str(s: str) -> "Quad3":

@@ -262,11 +262,10 @@ class _Links(dict):
 
 def _has_clique(shadow: list[int], size: int) -> bool:
     """Whether the graph with neighbour bitsets shadow has a size-clique,
-    by census's clique walk over the larger-index neighbours."""
+    by census's clique walk."""
     if size <= 1:
         return len(shadow) >= size
-    upper = [row >> (v + 1) << (v + 1) for v, row in enumerate(shadow)]
-    return next(_clique_frontiers(upper, size), None) is not None
+    return next(_clique_frontiers(shadow, size), None) is not None
 
 
 def _clique_number(shadow: list[int]) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil
 from typing import NamedTuple
 
-from .exactnum import Quad3, cos30_table, sin30_table, rational_to_str, rational_from_str
+from .exactnum import Quad3, cos30_table, sin30_table
 from .geometry import Point, PointSet, Value
 
 #: remainder fill order v1,v4,v7,v10,v2,v5,v8,v11,v3,v6,v9,v12 (0-indexed)
@@ -206,7 +206,7 @@ def config_to_json(config: CircleConfig) -> dict:
     reduced modulo its modulus, ascending."""
     return {
         "ambient_dim": config.ambient_dim,
-        "radius_sq": rational_to_str(config.radius_sq),
+        "radius_sq": str(Fraction(config.radius_sq)),
         "components": [
             {
                 "kind": c.kind,
@@ -254,7 +254,7 @@ def config_from_json(obj: dict) -> CircleConfig:
             obj["radius_sq"], (str, int), "config JSON: radius_sq"
         )
         try:
-            radius_sq = rational_from_str(radius_sq)
+            radius_sq = Fraction(radius_sq)
         except ValueError as exc:
             raise ValueError(f"config JSON: radius_sq: {exc}") from None
         components = []

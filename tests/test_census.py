@@ -192,25 +192,53 @@ def reference_census(config, k, side_sq=None):
 
 
 def pairwise_pair_graphs(config):
-    """Reference: the rows of census._pair_graphs, built pair by pair with
-    tick_chord_class."""
+    """Reference: the full rows of census._pair_graphs (compatible, cross,
+    thirds), built pair by pair with tick_chord_class."""
     points = config.labeled_points()
     n = len(points)
-    compatible, thirds, circle = [0] * n, [0] * n, [0] * n
+    compatible, cross, thirds = [0] * n, [0] * n, [0] * n
     for i, (ci, t) in enumerate(points):
         for j, (cj, u) in enumerate(points):
-            if ci == cj:
-                circle[i] |= 1 << j
-            if j <= i:
+            if j == i:
                 continue
-            kind = "quarter" if ci != cj else tick_chord_class(
-                config.components[ci].modulus, u - t
-            )
+            if ci != cj:
+                cross[i] |= 1 << j
+                compatible[i] |= 1 << j
+                continue
+            kind = tick_chord_class(config.components[ci].modulus, u - t)
             if kind == "quarter":
                 compatible[i] |= 1 << j
             elif kind == "third":
                 thirds[i] |= 1 << j
-    return compatible, thirds, circle
+    return compatible, cross, thirds
+
+
+def assert_symmetric(graph):
+    """A graph of full rows: no point is its own neighbour, and j is in
+    row i exactly when i is in row j."""
+    for i, row in enumerate(graph):
+        assert not row >> i & 1
+        for j in range(len(graph)):
+            assert graph[j] >> i & 1 == row >> j & 1
+
+
+@st.composite
+def twin_graphs(draw, max_n=14):
+    """Full rows of a random graph on at most max_n vertices, with false
+    twins planted by giving a vertex the neighbours of another."""
+    n = draw(st.integers(0, max_n))
+    adjacent = [[False] * n for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        adjacent[a][b] = adjacent[b][a] = draw(st.booleans())
+    vertex = st.integers(0, max(n - 1, 0))
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=8 if n else 0)):
+        if u == v:
+            continue
+        adjacent[u][v] = adjacent[v][u] = False
+        for w in range(n):
+            if w not in (u, v):
+                adjacent[v][w] = adjacent[w][v] = adjacent[u][w]
+    return [sum(1 << j for j in range(n) if adjacent[i][j]) for i in range(n)]
 
 
 def scaled_sq_dist(P, i, j):
@@ -257,19 +285,33 @@ HUGE_MODULUS = CircleConfig(
 )
 
 
-def transposed_twin_classes(config):
-    """Reference: the point classes of equal full compatible-pair rows, each
-    full row the upper row of _pair_graphs plus the bits of its transpose."""
-    upper, _, _ = census._pair_graphs(config)
-    full = list(upper)
-    for i, row in enumerate(upper):
-        for j in range(i + 1, len(upper)):
-            if row >> j & 1:
-                full[j] |= 1 << i
+def equal_row_classes(graph):
+    """Reference: the classes of points with equal rows of graph, each
+    ascending, in the order of their least members."""
     classes = {}
-    for i, row in enumerate(full):
+    for i, row in enumerate(graph):
         classes.setdefault(row, []).append(i)
-    return full, list(classes.values())
+    return list(classes.values())
+
+
+def assert_twin_classes(graph):
+    """census._twin_classes(graph) against equal_row_classes; returns the
+    classes."""
+    classes = equal_row_classes(graph)
+    reps, sizes, planes = census._twin_classes(graph)
+    assert reps == sum(1 << members[0] for members in classes)
+    expected_sizes = [0] * len(graph)
+    for members in classes:
+        expected_sizes[members[0]] = len(members)
+    assert sizes == expected_sizes
+    largest = max(map(len, classes), default=1)
+    assert planes == [
+        sum(1 << members[0] for members in classes if len(members) > j)
+        for j in range(1, largest)
+    ]
+    for members in classes:
+        assert not any(graph[a] >> b & 1 for a, b in combinations(members, 2))
+    return classes
 
 
 class TestTickChordClass:
@@ -509,7 +551,10 @@ class TestCliqueCount:
     @given(tick_configs())
     @example(HUGE_MODULUS)
     def test_chord_table_matches_pairwise_classes(self, config):
-        assert census._pair_graphs(config) == pairwise_pair_graphs(config)
+        graphs = census._pair_graphs(config)
+        for graph in graphs:
+            assert_symmetric(graph)
+        assert graphs == pairwise_pair_graphs(config)
 
     # The lister is the reference for the counting walk, so the bounds keep
     # the listed cliques few (at most 6 points on each of 5 circles).
@@ -526,42 +571,44 @@ class TestCliqueCount:
     @given(tick_configs())
     @example(TWIN_CLASSES)
     def test_twin_classes_are_exact(self, config):
-        upper, _, circle = census._pair_graphs(config)
-        full, classes = transposed_twin_classes(config)
-        reps, sizes, planes = census._twin_classes(upper, circle)
-        assert reps == sum(1 << members[0] for members in classes)
-        expected_sizes = [0] * config.n
-        for members in classes:
-            expected_sizes[members[0]] = len(members)
-        assert sizes == expected_sizes
-        largest = max(map(len, classes), default=1)
-        assert planes == [
-            sum(1 << members[0] for members in classes if len(members) > j)
-            for j in range(1, largest)
-        ]
-        for members in classes:
-            assert len({circle[i] for i in members}) == 1
-            assert not any(full[a] >> b & 1 for a, b in combinations(members, 2))
+        compatible, cross, _ = census._pair_graphs(config)
+        for members in assert_twin_classes(compatible):
+            assert len({cross[i] for i in members}) == 1  # one circle
 
     def test_twin_example_has_large_classes(self):
-        _, classes = transposed_twin_classes(TWIN_CLASSES)
+        classes = equal_row_classes(census._pair_graphs(TWIN_CLASSES)[0])
         assert sorted(map(len, classes)) == [1, 1, 2, 2, 2, 3, 3, 4]
 
     # The full graph with unit weights is the reference for the quotient,
-    # on the compatible-pair graph and on its cross-circle part, whose
+    # on the compatible-pair graph and on the cross-circle graph, whose
     # quotient has one class per circle.
     @given(tick_configs(max_circles=5, max_size=6), st.integers(3, 6))
     @example(TWIN_CLASSES, 3)
     @example(TWIN_CLASSES, 5)
     def test_weighted_walk_matches_plain_walk(self, config, k):
-        compatible, _, circle = census._pair_graphs(config)
-        cross = [row & ~mask for row, mask in zip(compatible, circle)]
-        _, sizes, _ = census._twin_classes(cross, circle)
+        compatible, cross, _ = census._pair_graphs(config)
+        _, sizes, _ = census._twin_classes(cross)
         assert [s for s in sizes if s] == [c.size for c in config.components if c.size]
         everyone = (1 << config.n) - 1
         for graph in (compatible, cross):
-            quotient = census._count_weighted(graph, k, *census._twin_classes(graph, circle))
+            quotient = census._count_weighted(graph, k, *census._twin_classes(graph))
             assert quotient == census._count_cliques(graph, k, everyone)
+
+    # _twin_classes and the walks take any graph of full rows, not only the
+    # tick graphs.
+    @given(twin_graphs())
+    def test_twin_classes_of_any_graph(self, graph):
+        assert_twin_classes(graph)
+
+    @given(twin_graphs(), st.integers(3, 5))
+    def test_weighted_walk_of_any_graph(self, graph, k):
+        everyone = (1 << len(graph)) - 1
+        cliques = sum(
+            all(graph[a] >> b & 1 for a, b in combinations(sub, 2))
+            for sub in combinations(range(len(graph)), k)
+        )
+        assert census._count_cliques(graph, k, everyone) == cliques
+        assert census._count_weighted(graph, k, *census._twin_classes(graph)) == cliques
 
     @pytest.mark.parametrize("side_sq", [None, Fraction(2), Fraction(3)])
     @pytest.mark.parametrize("k", [3, 4, 5])

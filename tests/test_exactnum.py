@@ -3,13 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from regsimplex.exactnum import (
-    Quad3,
-    cos30_table,
-    sin30_table,
-    rational_from_str,
-    rational_to_str,
-)
+from regsimplex.exactnum import Quad3, cos30_table, sin30_table
 
 
 rationals = st.fractions(
@@ -35,7 +29,8 @@ class TestRational:
 
     def test_string_round_trip(self):
         for s in ["5/6", "-3", "0", "22/7"]:
-            assert rational_to_str(rational_from_str(s)) == s
+            text = f"{s}+{s}*rt3"
+            assert str(Quad3.from_str(text)) == text
 
 
 class TestQuad3Compare:

@@ -304,6 +304,44 @@ class TestLinksOnFirstUse:
         assert in_an_edge and in_no_edge
 
 
+def _max_clique(rows) -> int:
+    """Reference: the largest vertex set of the graph with full neighbour
+    rows that is pairwise adjacent, by trying every subset."""
+    return max(
+        size
+        for size in range(len(rows) + 1)
+        for sub in combinations(range(len(rows)), size)
+        if all(rows[a] >> b & 1 for a, b in combinations(sub, 2))
+    )
+
+
+class TestCliqueNumber:
+    def test_random_graphs_match_subset_search(self):
+        rng = random.Random(7)
+        numbers = set()
+        for _ in range(80):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            rows = [0] * n
+            for a, b in combinations(range(n), 2):
+                if rng.random() < p:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            number = hypergraph._clique_number(rows)
+            assert number == _max_clique(rows), rows
+            numbers.add(number)
+        assert numbers >= set(range(6))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_shadow_rows_match_subset_search(self, k):
+        rng = random.Random(50 + k)
+        for _ in range(20):
+            n = rng.randint(k, 9)
+            G = random_hypergraph(rng, n, k, rng.randint(1, 6))
+            shadow = hypergraph._index(G)[2]
+            assert hypergraph._clique_number(shadow) == _max_clique(shadow)
+
+
 @pytest.fixture
 def place_calls(monkeypatch):
     """A one-item list that counts the _place calls made during the test."""
