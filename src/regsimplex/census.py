@@ -358,7 +358,7 @@ def _point_set_rows(P: PointSet) -> tuple[int, _Rows]:
     of point i, (a + b*rt3)/D, is the integer pair rows[i][c] = (a, b);
     zero coordinates are left out."""
     ratios = [
-        [(x.a.as_integer_ratio(), x.b.as_integer_ratio()) for x in p.coords]
+        [(x.a.as_integer_ratio(), x.b.as_integer_ratio()) for x in p]
         for p in P.points
     ]
     D = lcm(*(den for row in ratios for pair in row for _, den in pair))

@@ -58,9 +58,6 @@ class Quad3:
     def __sub__(self, other: "Quad3") -> "Quad3":
         return Quad3(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "Quad3":
-        return Quad3(-self.a, -self.b)
-
     def __mul__(self, other: "Quad3") -> "Quad3":
         # (a + b rt3)(c + d rt3) = (ac + 3bd) + (ad + bc) rt3
         return Quad3(

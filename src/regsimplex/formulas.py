@@ -45,8 +45,11 @@ def count_polynomial(
     With s_i the class sizes and g_i their same-circle good-pair counts,
     e_k counts the mixed simplices with all vertices on distinct circles and
     c_k all mixed simplices: each circle contributes no vertex, one of its
-    s_i points, or one of its g_i good pairs.
+    s_i points, or one of its g_i good pairs.  Both products have degree at
+    most 2r, so a larger k counts 0 without building them.
     """
+    if k > 2 * len(sizes):
+        return 0, 0
     e = c = [1] + [0] * max(k, 1)  # _times reads p[1]
     for s, g in zip(sizes, good_pairs, strict=True):
         e = _times(e, s, 0)

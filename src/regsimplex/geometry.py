@@ -9,7 +9,7 @@ every quantity stays inside Q(rt3).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactnum import Q3_ZERO, Quad3
 
@@ -34,28 +34,13 @@ class Value:
         return f"{type(self).__name__}{self._key()!r}"
 
 
-class Point(Value):
-    """A point of Q(rt3)^d; a value, never mutated."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[Quad3, ...]):
-        self.coords = coords
-
-    def _key(self) -> tuple:
-        return (self.coords,)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
 class PointSet(Value):
-    """Pairwise distinct points of one ambient dimension; a value, never
-    mutated."""
+    """Pairwise distinct points of one ambient dimension, each a tuple of
+    Quad3 coordinates; a value, never mutated."""
 
     __slots__ = ("dim", "points")
 
-    def __init__(self, dim: int, points: tuple[Point, ...]):
+    def __init__(self, dim: int, points: tuple[tuple[Quad3, ...], ...]):
         self.dim = dim
         self.points = points
         for p in self.points:
@@ -71,18 +56,18 @@ class PointSet(Value):
         return len(self.points)
 
 
-def sq_dist(p: Point, q: Point) -> Quad3:
+def sq_dist(p: Sequence[Quad3], q: Sequence[Quad3]) -> Quad3:
     """Exact squared Euclidean distance."""
     if len(p) != len(q):
         raise ValueError("dimension mismatch")
     acc = Q3_ZERO
-    for x, y in zip(p.coords, q.coords):
+    for x, y in zip(p, q):
         d = x - y
         acc = acc + d * d
     return acc
 
 
-def is_regular_simplex(pts: Sequence[Point]) -> bool:
+def is_regular_simplex(pts: Sequence[Sequence[Quad3]]) -> bool:
     """True iff all pairwise squared distances agree and are nonzero."""
     if len(pts) < 2:
         raise ValueError("a simplex needs at least 2 vertices")
@@ -141,41 +126,9 @@ def _eliminate(rows: list[list[Quad3]]) -> list[list[Quad3]]:
     return rows[:piv_r]
 
 
-def solve_linear(A: list[list[Quad3]], b: list[Quad3]) -> Optional[list[Quad3]]:
-    """Solve A x = b exactly; None when inconsistent.
-
-    A must have full column rank (free variables are not supported; the
-    callers only ever build systems with independent columns).
-    """
-    n_rows = len(A)
-    n_cols = len(A[0]) if n_rows else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    ech = _eliminate(aug)
-    # Inconsistent iff some echelon row is 0 = nonzero.
-    pivots = []
-    for row in ech:
-        col = next((c for c in range(n_cols) if not row[c].is_zero()), None)
-        if col is None:
-            if not row[n_cols].is_zero():
-                return None
-        else:
-            pivots.append((col, row))
-    if len(pivots) < n_cols:
-        raise ValueError("underdetermined system")
-    x: list[Quad3] = [Q3_ZERO] * n_cols
-    for col, row in reversed(pivots):
-        acc = row[n_cols]
-        for c in range(col + 1, n_cols):
-            acc = acc - row[c] * x[c]
-        x[col] = acc / row[col]
-    return x
-
-
 def _difference_vectors(P: PointSet) -> list[list[Quad3]]:
     base = P.points[0]
-    return [
-        [x - y for x, y in zip(p.coords, base.coords)] for p in P.points[1:]
-    ]
+    return [[x - y for x, y in zip(p, base)] for p in P.points[1:]]
 
 
 def affine_span_dim(P: PointSet) -> int:
@@ -194,31 +147,36 @@ def spans_orthogonal(P: PointSet, Q: PointSet) -> bool:
     return all(_dot(u, v).is_zero() for u in dP for v in dQ)
 
 
-def circumcenter(P: PointSet) -> Point:
+def circumcenter(P: PointSet) -> tuple[Quad3, ...]:
     """The unique point of Aff(P) equidistant from all points of P.
 
     Solved inside the affine span: c = p1 + sum t_j b_j, where the b_j are
-    the nonzero echelon rows of the difference vectors p_i - p1, a basis of
-    their span.  That keeps the columns of the linear system independent and
-    avoids underdetermined ambient formulations.  Raises
-    ValueError("not cospherical") when no such point exists.
+    the nonzero echelon rows of the difference vectors d_i = p_i - p1, a
+    basis of their span.  Each d_i is a combination of the b_j, whose Gram
+    matrix is invertible, so the equations 2 <c - p1, d_i> = |d_i|^2 have
+    full column rank in the t_j: the echelon form of their augmented rows
+    has its pivots on the diagonal, plus a row 0 = nonzero exactly when no
+    such point exists.  Raises ValueError("not cospherical") then.
     """
     if len(P) == 0:
         raise ValueError("empty point set")
     diffs = _difference_vectors(P)
     basis = _eliminate(diffs)
-    # Equations 2 <c - p1, d_i> = |d_i|^2 for every difference vector d_i.
     two = Quad3.of(2)
-    A = [[two * _dot(bj, di) for bj in basis] for di in diffs]
-    rhs = [_dot(di, di) for di in diffs]
-    if not basis:
-        return P.points[0]
-    t = solve_linear(A, rhs)
-    if t is None:
+    echelon = _eliminate(
+        [[two * _dot(bj, di) for bj in basis] + [_dot(di, di)] for di in diffs]
+    )
+    m = len(basis)
+    if len(echelon) > m:
         raise ValueError("not cospherical")
-    base = P.points[0]
-    coords = list(base.coords)
+    t = [Q3_ZERO] * m
+    for j in reversed(range(m)):
+        row = echelon[j]
+        acc = row[m]
+        for c in range(j + 1, m):
+            acc = acc - row[c] * t[c]
+        t[j] = acc / row[j]
+    coords = P.points[0]
     for tj, bj in zip(t, basis):
-        coords = [c + tj * bc for c, bc in zip(coords, bj)]
-    return Point(tuple(coords))
-
+        coords = tuple(c + tj * bc for c, bc in zip(coords, bj))
+    return coords

@@ -17,7 +17,7 @@ from math import ceil
 from typing import NamedTuple
 
 from .exactnum import Quad3, cos30_table, sin30_table
-from .geometry import Point, PointSet, Value
+from .geometry import PointSet, Value
 
 #: remainder fill order v1,v4,v7,v10,v2,v5,v8,v11,v3,v6,v9,v12 (0-indexed)
 REMAINDER_ORDER = (0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11)
@@ -67,10 +67,6 @@ class CircleConfig(NamedTuple):
     @property
     def n(self) -> int:
         return sum(c.size for c in self.components)
-
-    @property
-    def r(self) -> int:
-        return len(self.components)
 
     def labeled_points(self) -> list[tuple[int, int]]:
         """All points as (component index, tick), in deterministic order."""
@@ -197,7 +193,7 @@ def embed_config(config: CircleConfig) -> PointSet:
         coords = [zero] * config.ambient_dim
         coords[coord] = cos30_table(step)
         coords[coord + 1] = sin30_table(step)
-        pts.append(Point(tuple(coords)))
+        pts.append(tuple(coords))
     return PointSet(dim=config.ambient_dim, points=tuple(pts))
 
 

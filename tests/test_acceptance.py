@@ -25,7 +25,6 @@ from regsimplex.formulas import (
     maximize_f_k,
 )
 from regsimplex.geometry import (
-    Point,
     PointSet,
     arrow_relation,
     circumcenter,
@@ -162,7 +161,7 @@ def test_criterion_06_geometry_lemma_suite():
                     PointSet(config.ambient_dim, pts.points[start : start + comp.size])
                 )
                 start += comp.size
-            origin = Point(tuple(Quad3.of(0) for _ in range(config.ambient_dim)))
+            origin = (Quad3.of(0),) * config.ambient_dim
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert arrow_relation(groups[i], groups[j])

@@ -19,7 +19,7 @@ from regsimplex.census import (
     tick_chord_class,
 )
 from regsimplex.exactnum import Quad3
-from regsimplex.geometry import Point, PointSet, is_regular_simplex, sq_dist
+from regsimplex.geometry import PointSet, is_regular_simplex, sq_dist
 from regsimplex.lenz import (
     CircleConfig,
     Component,
@@ -110,7 +110,7 @@ def affine_images(draw):
     image = PointSet(
         config.ambient_dim,
         tuple(
-            Point(tuple(scale * x + y for x, y in zip(pt.coords, t)))
+            tuple(scale * x + y for x, y in zip(pt, t))
             for pt in embed_config(config).points
         ),
     )
@@ -244,7 +244,7 @@ def twin_graphs(draw, max_n=14):
 def scaled_sq_dist(P, i, j):
     """Reference: D^2 * sq_dist(p_i, p_j) as an integer pair, with D the lcm
     of every coordinate denominator of P."""
-    coords = [x for pt in P.points for x in pt.coords]
+    coords = [x for pt in P.points for x in pt]
     D = lcm(*(q.denominator for x in coords for q in (x.a, x.b)))
     sq = sq_dist(P.points[i], P.points[j])
     key = (sq.a * D * D, sq.b * D * D)
@@ -658,7 +658,7 @@ class TestCoordinateCliques:
         assume(config.n >= k)
         P = embed_config(config)
         if side == "off":
-            coords = [x for pt in image.points for x in pt.coords]
+            coords = [x for pt in image.points for x in pt]
             D = lcm(*(q.denominator for x in coords for q in (x.a, x.b)))
             # D^2 times this side is 1/11, which no squared distance reaches
             image_side, side_sq = Quad3.of(Fraction(1, 11 * D * D)), None
@@ -679,7 +679,7 @@ class TestCoordinateCliques:
         # origin, so every regular simplex is a k-subset of the unit vectors
         zero, one = Quad3.of(0), Quad3.of(1)
         units = [tuple(one if j == i else zero for j in range(5)) for i in range(5)]
-        P = PointSet(5, tuple(map(Point, (*units, (zero,) * 5))))
+        P = PointSet(5, (*units, (zero,) * 5))
         expected = list(combinations(range(5), k))
         assert reference_coordinate_simplices(P, k) == expected
         assert sorted(coordinate_simplices(P, k)) == expected

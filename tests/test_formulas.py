@@ -190,6 +190,9 @@ class TestCountPolynomial:
         assert count_polynomial((), (), 0) == (1, 1)
         assert count_polynomial((2, 3), (4, 5), 0) == (1, 1)
         assert count_polynomial((2, 3), (4, 5), 1) == (5, 5)
+        # each factor has degree <= 2, so every k > 2r counts 0
+        assert count_polynomial((2, 3), (4, 5), 5) == (0, 0)
+        assert count_polynomial((36,) * 3, (6,) * 3, 10**12) == (0, 0)
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from regsimplex.exactnum import Quad3, cos30_table, sin30_table
 from regsimplex.geometry import (
-    Point,
     PointSet,
     affine_span_dim,
     arrow_relation,
@@ -18,18 +17,18 @@ from regsimplex.hypergraph import Hypergraph
 from regsimplex.lenz import Component, build_even_config, embed_config
 
 
-def pt(*vals) -> Point:
-    return Point(tuple(Quad3.of(v) for v in vals))
+def pt(*vals) -> tuple[Quad3, ...]:
+    return tuple(Quad3.of(v) for v in vals)
 
 
-def dodecagon_vertex(step: int, dim: int = 2, plane: int = 0) -> Point:
+def dodecagon_vertex(step: int, dim: int = 2, plane: int = 0) -> tuple[Quad3, ...]:
     coords = [Quad3.of(0)] * dim
     coords[2 * plane] = cos30_table(step % 12)
     coords[2 * plane + 1] = sin30_table(step % 12)
-    return Point(tuple(coords))
+    return tuple(coords)
 
 
-_P, _Q = pt(1, Fraction(1, 2)), Point((Quad3.of(0), Quad3.of(0, 1)))
+_P, _Q = pt(1, Fraction(1, 2)), (Quad3.of(0), Quad3.of(0, 1))
 
 
 class TestValueSemantics:
@@ -37,14 +36,13 @@ class TestValueSemantics:
     geometry.Value."""
 
     NAMESPACE = {
-        c.__name__: c for c in (Fraction, Quad3, Point, PointSet, Component, Hypergraph)
+        c.__name__: c for c in (Fraction, Quad3, PointSet, Component, Hypergraph)
     }
 
     @pytest.mark.parametrize(
         "cls, fields, changed",
         [
             (Quad3, (Fraction(1, 2), Fraction(3)), (Fraction(1, 2), Fraction(-3))),
-            (Point, (_P.coords,), (_Q.coords,)),
             (PointSet, (2, (_P, _Q)), (2, (_Q, _P))),
             (Component, ("circle", 12, (0, 3)), ("circle", 24, (0, 3))),
             (
@@ -52,6 +50,13 @@ class TestValueSemantics:
                 (4, 3, frozenset({frozenset({0, 1, 2})})),
                 (4, 3, frozenset({frozenset({0, 1, 3})})),
             ),
+        ],
+        # fixed ids: the names these cases were first collected under
+        ids=[
+            "Quad3-fields0-changed0",
+            "PointSet-fields2-changed2",
+            "Component-fields3-changed3",
+            "Hypergraph-fields4-changed4",
         ],
     )
     def test_value(self, cls, fields, changed):
@@ -64,6 +69,16 @@ class TestValueSemantics:
         assert x.__eq__(type("Sub", (cls,), {"__slots__": ()})(*fields)) is NotImplemented
         assert not hasattr(x, "__dict__")
         assert eval(repr(x), self.NAMESPACE) == x
+
+
+class TestPointSet:
+    def test_point_of_wrong_dimension(self):
+        with pytest.raises(ValueError, match="point dimension does not match ambient dimension"):
+            PointSet(3, (pt(0, 0, 0), pt(1, 0)))
+
+    def test_repeated_point(self):
+        with pytest.raises(ValueError, match="points must be pairwise distinct"):
+            PointSet(2, (pt(0, 0), pt(1, 0), pt(0, 0)))
 
 
 class TestSqDist:
@@ -144,7 +159,7 @@ class TestAffineSpanDim:
     def test_translation_invariant(self, dx, dy):
         pts = [pt(0, 0), pt(1, 2), pt(3, 1), pt(2, 2)]
         shifted = [
-            Point((p.coords[0] + Quad3.of(dx), p.coords[1] + Quad3.of(dy)))
+            (p[0] + Quad3.of(dx), p[1] + Quad3.of(dy))
             for p in pts
         ]
         assert affine_span_dim(PointSet(2, tuple(pts))) == affine_span_dim(
@@ -169,6 +184,12 @@ class TestSpansOrthogonal:
         assert not spans_orthogonal(P, Q)
 
 
+#: Points of Q(rt3)^3 with coordinates a + b*rt3 for small integers a, b.
+small_points = st.tuples(
+    *[st.builds(Quad3.of, st.integers(-2, 2), st.integers(-2, 2))] * 3
+)
+
+
 class TestCircumcenter:
     def test_equilateral_on_unit_circle(self):
         P = PointSet(2, tuple(dodecagon_vertex(s) for s in (0, 4, 8)))
@@ -186,6 +207,25 @@ class TestCircumcenter:
     def test_single_point(self):
         assert circumcenter(PointSet(2, (pt(3, 4),))) == pt(3, 4)
 
+    def test_coplanar_not_concyclic_is_rejected(self):
+        with pytest.raises(ValueError, match="not cospherical"):
+            circumcenter(PointSet(2, (pt(0, 0), pt(1, 0), pt(0, 1), pt(2, 2))))
+
+    @given(st.lists(small_points, min_size=2, max_size=5, unique=True))
+    def test_equidistant_inside_the_span(self, points):
+        P = PointSet(3, tuple(points))
+        dim = affine_span_dim(P)
+        try:
+            c = circumcenter(P)
+        except ValueError as exc:
+            assert str(exc) == "not cospherical"
+            # affinely independent points always have a circumcenter
+            assert dim < len(P) - 1
+            return
+        assert len({sq_dist(c, p) for p in P.points}) == 1
+        # c is at the same nonzero distance from each point, so it is new
+        assert affine_span_dim(PointSet(3, (*P.points, c))) == dim
+
 
 class TestLemmaSuite:
     """Mutually equidistant circle pairs span orthogonally and share a center."""
@@ -201,7 +241,7 @@ class TestLemmaSuite:
                 PointSet(config.ambient_dim, pts[start : start + comp.size])
             )
             start += comp.size
-        origin = Point(tuple(Quad3.of(0) for _ in range(config.ambient_dim)))
+        origin = pt(*[0] * config.ambient_dim)
         for i in range(3):
             for j in range(i + 1, 3):
                 P, Q = groups[i], groups[j]
