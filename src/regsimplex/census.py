@@ -154,14 +154,12 @@ def _bits(mask: int):
 
 
 def _clique_frontiers(graph: list[int], k: int):
-    """Walk the k-cliques of graph in index order, one level short.
+    """Walk the k-cliques of graph, given by full neighbour rows, in index
+    order, one level short.
 
-    Row v of graph is the neighbour bitset of v, full or only the
-    neighbours above v: this walk, _count_cliques and _count_weighted read
-    only the neighbours above each vertex.  Yields (prefix, ext) for every
-    (k-1)-clique prefix that extends at all: ext is the bitset of common
-    neighbors above the prefix, and each of its bits completes one
-    k-clique.
+    Yields (prefix, ext) for every (k-1)-clique prefix that extends at
+    all: ext is the bitset of common neighbors above the prefix, and each
+    of its bits completes one k-clique.
     """
     return _extend(graph, k - 2, (), (1 << len(graph)) - 1)
 
@@ -217,42 +215,37 @@ def _twin_classes(graph: list[int]) -> tuple[int, list[int], list[int]]:
     return reps, sizes, planes
 
 
-def _count_cliques(graph: list[int], left: int, cand: int) -> int:
-    """Number of left-cliques of graph (rows as for _clique_frontiers)
-    among the points of the bitset cand (left >= 2), counted one level
-    short by adding popcounts."""
-    total = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        ext = cand & graph[low.bit_length() - 1]
-        if ext:
-            total += ext.bit_count() if left == 2 else _count_cliques(graph, left - 1, ext)
-    return total
+def _count_cliques(graph: list[int], k: int) -> int:
+    """Number of k-cliques (k >= 2) of a graph given by full neighbour rows.
 
+    The walk visits one representative per false-twin class (see
+    _twin_classes) and counts each clique of representatives as the
+    product of their class sizes.  It reads only the neighbours above each
+    vertex and stops one level short: there each bit of the common
+    neighbours ext completes a clique, and the last class sizes come to
+    one popcount of ext plus one of ext & plane per weight plane.
+    """
+    reps, sizes, planes = _twin_classes(graph)
 
-def _count_weighted(
-    graph: list[int], left: int, cand: int, sizes: list[int], planes: list[int]
-) -> int:
-    """_count_cliques over the class representatives of graph's full rows
-    (see _twin_classes): each left-clique among cand counts the product of
-    its class sizes."""
-    total = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        v = low.bit_length() - 1
-        ext = cand & graph[v]
-        if not ext:
-            continue
-        if left > 2:
-            count = _count_weighted(graph, left - 1, ext, sizes, planes)
-        else:
-            count = ext.bit_count()
-            for plane in planes:
-                count += (ext & plane).bit_count()
-        total += count * sizes[v]
-    return total
+    def walk(left: int, cand: int) -> int:
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            ext = cand & graph[v]
+            if not ext:
+                continue
+            if left > 2:
+                count = walk(left - 1, ext)
+            else:
+                count = ext.bit_count()
+                for plane in planes:
+                    count += (ext & plane).bit_count()
+            total += count * sizes[v]
+        return total
+
+    return walk(k, reps)
 
 
 def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
@@ -275,9 +268,8 @@ def brute_force_structured(
     the k-cliques of the compatible-pair graph (see _pair_graphs) are
     exactly the mixed simplices, delta1 + delta2; for k = 3 the triangles
     of the third-turn graph are the single-circle ones.  The k-cliques of
-    the cross-circle graph are the delta1 simplices.  Both mixed counts
-    walk the false-twin quotient of their graph (see _twin_classes); the
-    cross-circle graph's has one class per circle.
+    the cross-circle graph are the delta1 simplices; its false-twin
+    quotient (see _count_cliques) has one class per circle.
     """
     if k < 3:
         raise ValueError("need k >= 3")
@@ -285,10 +277,10 @@ def brute_force_structured(
     compatible, cross, thirds = _pair_graphs(config)
     d1 = d2 = d3 = 0
     if allow_mixed:
-        d1 = _count_weighted(cross, k, *_twin_classes(cross))
-        d2 = _count_weighted(compatible, k, *_twin_classes(compatible)) - d1
+        d1 = _count_cliques(cross, k)
+        d2 = _count_cliques(compatible, k) - d1
     if k == 3 and allow_single:
-        d3 = _count_cliques(thirds, 3, (1 << config.n) - 1)
+        d3 = _count_cliques(thirds, 3)
     return CountReport(d1, d2, d3)
 
 
@@ -382,8 +374,8 @@ def _coordinate_rows(source: Union[CircleConfig, PointSet]) -> tuple[int, _Rows]
 
 def _distance_graphs(D: int, rows: _Rows, side_sq: Optional[Quad3]) -> dict:
     """One graph per exact squared distance among the points of rows (only
-    side_sq, when given), keyed by that distance scaled by D^2; row i of a
-    graph holds the larger-index neighbors as an int bitset.
+    side_sq, when given), keyed by that distance scaled by D^2, as full
+    neighbour rows (int bitsets).
 
     rows[i] maps each nonzero coordinate of point i, scaled by D, to the
     integer pair (a, b) standing for a + b*rt3 (see _config_rows and
@@ -394,7 +386,7 @@ def _distance_graphs(D: int, rows: _Rows, side_sq: Optional[Quad3]) -> dict:
     such a pair too.  Two points that share no nonzero coordinate are at
     squared distance norm_i + norm_j, so those pairs join a graph in bulk,
     one bitset per row and norm; only pairs that share a coordinate take a
-    dot product.
+    dot product, once per pair.
     """
     n = len(rows)
     norms: list[tuple[int, int]] = []
@@ -410,18 +402,17 @@ def _distance_graphs(D: int, rows: _Rows, side_sq: Optional[Quad3]) -> dict:
         norms.append(norm)
         by_norm[norm] |= 1 << i
     graphs: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * n)
+    everyone = (1 << n) - 1
     for i, (support, (A, B)) in enumerate(zip(rows, norms)):
-        later = ((1 << n) - 1) >> (i + 1) << (i + 1)
-        shared = 0
+        shared = 1 << i
         for c in support:
             shared |= sharing[c]
-        shared &= later
-        apart = later ^ shared
+        apart = everyone ^ shared
         if apart:
             for (A2, B2), members in by_norm.items():
                 if members & apart:
                     graphs[A + A2, B + B2][i] |= members & apart
-        for j in _bits(shared):
+        for j in _bits(shared >> (i + 1) << (i + 1)):
             other = rows[j]
             dot_a = dot_b = 0
             for c, (a, b) in support.items():
@@ -430,7 +421,9 @@ def _distance_graphs(D: int, rows: _Rows, side_sq: Optional[Quad3]) -> dict:
                     dot_a += a * a2 + 3 * b * b2
                     dot_b += a * b2 + b * a2
             A2, B2 = norms[j]
-            graphs[A + A2 - 2 * dot_a, B + B2 - 2 * dot_b][i] |= 1 << j
+            graph = graphs[A + A2 - 2 * dot_a, B + B2 - 2 * dot_b]
+            graph[i] |= 1 << j
+            graph[j] |= 1 << i
     if side_sq is None:
         return graphs
     want = (side_sq.a * D * D, side_sq.b * D * D)
@@ -448,10 +441,8 @@ def count_brute_force(
     of that exact squared side count."""
     if k < 3:
         raise ValueError("need k >= 3")
-    D, rows = _coordinate_rows(source)
-    everyone = (1 << len(rows)) - 1
-    graphs = _distance_graphs(D, rows, side_sq).values()
-    return sum(_count_cliques(graph, k, everyone) for graph in graphs)
+    graphs = _distance_graphs(*_coordinate_rows(source), side_sq).values()
+    return sum(_count_cliques(graph, k) for graph in graphs)
 
 
 def coordinate_simplices(

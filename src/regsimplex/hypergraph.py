@@ -261,8 +261,8 @@ class _Links(dict):
 
 
 def _has_clique(shadow: list[int], size: int) -> bool:
-    """Whether the graph with neighbour bitsets shadow has a size-clique,
-    by census's clique walk."""
+    """Whether the graph with full neighbour rows shadow has a size-clique,
+    by census's clique lister."""
     if size <= 1:
         return len(shadow) >= size
     return next(_clique_frontiers(shadow, size), None) is not None

@@ -213,6 +213,21 @@ def pairwise_pair_graphs(config):
     return compatible, cross, thirds
 
 
+def plain_clique_count(graph, k, cand=-1):
+    """Reference: number of k-cliques (k >= 2) of graph among the points of
+    the bitset cand (all points by default), by a unit-weight walk over
+    every point that reads only the neighbours above each one."""
+    cand &= (1 << len(graph)) - 1
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        ext = cand & graph[low.bit_length() - 1]
+        if ext:
+            total += ext.bit_count() if k == 2 else plain_clique_count(graph, k - 1, ext)
+    return total
+
+
 def assert_symmetric(graph):
     """A graph of full rows: no point is its own neighbour, and j is in
     row i exactly when i is in row j."""
@@ -543,7 +558,7 @@ class TestCliqueCount:
         def tick_classes(*args):
             raise AssertionError("the coordinate oracle used tick classes")
 
-        for name in ("tick_chord_class", "_pair_graphs", "_twin_classes"):
+        for name in ("tick_chord_class", "_pair_graphs"):
             monkeypatch.setattr(census, name, tick_classes)
         assert count_brute_force(build_even_config(36, 3, (12, 12, 12)), 3) == 2604
         assert count_brute_force(config, 4) == 10624
@@ -580,21 +595,19 @@ class TestCliqueCount:
         assert sorted(map(len, classes)) == [1, 1, 2, 2, 2, 3, 3, 4]
 
     # The full graph with unit weights is the reference for the quotient,
-    # on the compatible-pair graph and on the cross-circle graph, whose
-    # quotient has one class per circle.
+    # on the compatible-pair graph, on the cross-circle graph, whose
+    # quotient has one class per circle, and on the third-turn graph.
     @given(tick_configs(max_circles=5, max_size=6), st.integers(3, 6))
     @example(TWIN_CLASSES, 3)
     @example(TWIN_CLASSES, 5)
     def test_weighted_walk_matches_plain_walk(self, config, k):
-        compatible, cross, _ = census._pair_graphs(config)
+        compatible, cross, thirds = census._pair_graphs(config)
         _, sizes, _ = census._twin_classes(cross)
         assert [s for s in sizes if s] == [c.size for c in config.components if c.size]
-        everyone = (1 << config.n) - 1
-        for graph in (compatible, cross):
-            quotient = census._count_weighted(graph, k, *census._twin_classes(graph))
-            assert quotient == census._count_cliques(graph, k, everyone)
+        for graph in (compatible, cross, thirds):
+            assert census._count_cliques(graph, k) == plain_clique_count(graph, k)
 
-    # _twin_classes and the walks take any graph of full rows, not only the
+    # _twin_classes and the walk take any graph of full rows, not only the
     # tick graphs.
     @given(twin_graphs())
     def test_twin_classes_of_any_graph(self, graph):
@@ -602,13 +615,12 @@ class TestCliqueCount:
 
     @given(twin_graphs(), st.integers(3, 5))
     def test_weighted_walk_of_any_graph(self, graph, k):
-        everyone = (1 << len(graph)) - 1
         cliques = sum(
             all(graph[a] >> b & 1 for a, b in combinations(sub, 2))
             for sub in combinations(range(len(graph)), k)
         )
-        assert census._count_cliques(graph, k, everyone) == cliques
-        assert census._count_weighted(graph, k, *census._twin_classes(graph)) == cliques
+        assert plain_clique_count(graph, k) == cliques
+        assert census._count_cliques(graph, k) == cliques
 
     @pytest.mark.parametrize("side_sq", [None, Fraction(2), Fraction(3)])
     @pytest.mark.parametrize("k", [3, 4, 5])
@@ -692,15 +704,21 @@ class TestCoordinateCliques:
 
     def check_distance_graphs(self, P):
         """Every pair of P lies in exactly one distance graph, keyed by its
-        scaled squared distance, and a side filter keeps only its key."""
+        scaled squared distance, in both of its rows; the twin quotient
+        counts the cliques of each graph as the unit-weight walk does; and
+        a side filter keeps only its key."""
         scaled = census._point_set_rows(P)
         graphs = census._distance_graphs(*scaled, None)
         n = len(P)
+        for rows in graphs.values():
+            assert_symmetric(rows)
+            assert_twin_classes(rows)
+            for k in range(3, 7):
+                assert census._count_cliques(rows, k) == plain_clique_count(rows, k)
         for i, j in combinations(range(n), 2):
-            keys = [key for key, rows in graphs.items() if rows[i] >> j & 1]
-            assert keys == [scaled_sq_dist(P, i, j)]
-        assert all(row >> (i + 1) << (i + 1) == row
-                   for rows in graphs.values() for i, row in enumerate(rows))
+            in_row_i = [key for key, rows in graphs.items() if rows[i] >> j & 1]
+            in_row_j = [key for key, rows in graphs.items() if rows[j] >> i & 1]
+            assert in_row_i == in_row_j == [scaled_sq_dist(P, i, j)]
         if n >= 2:
             side = sq_dist(*P.points[:2])
             filtered = census._distance_graphs(*scaled, side)
