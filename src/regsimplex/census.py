@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import mul, or_
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import PointSet
@@ -187,65 +189,62 @@ def _cliques(graphs, k: int):
                 yield prefix + (w,)
 
 
-def _twin_classes(graph: list[int]) -> tuple[int, list[int], list[int]]:
-    """False-twin classes of a graph given by full neighbour rows: the
-    points with equal rows.  No point is its own neighbour, so twins are
-    never adjacent and a clique holds at most one point of each class.
-
-    Returns the bitset of class representatives (the least index of each
-    class), sizes (sizes[v] is the class size of representative v) and the
-    unary weight planes: planes[j] holds the representatives of classes
-    with more than j + 1 members, so a bitset x of representatives stands
-    for x.bit_count() points plus one popcount of x & plane per plane.
-    """
-    sizes = [0] * len(graph)
-    planes: list[int] = []
-    classes: dict[int, int] = {}  # row -> representative
-    reps = 0
-    for i, row in enumerate(graph):
-        rep = classes.setdefault(row, i)
-        twins = sizes[rep]
-        sizes[rep] = twins + 1
-        if not twins:
-            reps |= 1 << i
-        elif twins > len(planes):
-            planes.append(1 << rep)
-        else:
-            planes[twins - 1] |= 1 << rep
-    return reps, sizes, planes
+def _join_factors(graph: list[int], piece: int) -> list[int]:
+    """The join factors of graph (full neighbour rows) on the points of the
+    bitset piece: the components of its complement there, as bitsets, by a
+    breadth-first search."""
+    factors = []
+    while piece:
+        factor = frontier = piece & -piece
+        piece ^= factor
+        while frontier and piece:
+            low = frontier & -frontier
+            frontier ^= low
+            apart = piece & ~graph[low.bit_length() - 1]
+            factor |= apart
+            frontier |= apart
+            piece ^= apart
+        factors.append(factor)
+    return factors
 
 
 def _count_cliques(graph: list[int], k: int) -> int:
     """Number of k-cliques (k >= 2) of a graph given by full neighbour rows.
 
-    The walk visits one representative per false-twin class (see
-    _twin_classes) and counts each clique of representatives as the
-    product of their class sizes.  It reads only the neighbours above each
-    vertex and stops one level short: there each bit of the common
-    neighbours ext completes a clique, and the last class sizes come to
-    one popcount of ext plus one of ext & plane per weight plane.
+    No such clique holds an isolated point, so the count drops them and
+    splits the rest into join factors (see _join_factors).  The clique
+    polynomial of a join is the product of its factors' (Hoede and Li,
+    Discrete Math. 1994), so the count is coefficient k of the product of
+    the factors' counts of cliques of each size up to k; agreement of a
+    brute-force route with the closed form thus checks its graphs and this
+    lemma, not a second listing of every simplex.  A plain walk counts a
+    factor's cliques: it reads only the neighbours above each vertex and
+    stops one level short, with one popcount of the common neighbours.  A
+    factor's complement is connected, so it splits no further; a factor
+    that is a disjoint union is walked whole, at a cost of its cliques of
+    size at most k.
     """
-    reps, sizes, planes = _twin_classes(graph)
+    if k > len(graph):
+        return 0
+    total = [1] + [0] * k
 
-    def walk(left: int, cand: int) -> int:
-        total = 0
+    def walk(counts: list[int], size: int, cand: int) -> None:
         while cand:
             low = cand & -cand
             cand ^= low
-            v = low.bit_length() - 1
-            ext = cand & graph[v]
-            if not ext:
-                continue
-            if left > 2:
-                count = walk(left - 1, ext)
-            else:
-                count = ext.bit_count()
-                for plane in planes:
-                    count += (ext & plane).bit_count()
-            total += count * sizes[v]
-        return total
+            ext = cand & graph[low.bit_length() - 1]
+            if ext:
+                counts[size] += ext.bit_count()
+                if size < k:
+                    walk(counts, size + 1, ext)
 
-    return walk(k, reps)
+    # Rows are symmetric, so their union is the points with a neighbour.
+    for factor in _join_factors(graph, reduce(or_, graph, 0)):
+        counts = [1, factor.bit_count()] + [0] * (k - 1)
+        walk(counts, 2, factor)
+        for j in range(k, 0, -1):
+            total[j] += sum(map(mul, total[:j], reversed(counts[1 : j + 1])))
+    return total[k]
 
 
 def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
@@ -268,8 +267,8 @@ def brute_force_structured(
     the k-cliques of the compatible-pair graph (see _pair_graphs) are
     exactly the mixed simplices, delta1 + delta2; for k = 3 the triangles
     of the third-turn graph are the single-circle ones.  The k-cliques of
-    the cross-circle graph are the delta1 simplices; its false-twin
-    quotient (see _count_cliques) has one class per circle.
+    the cross-circle graph, whose join factors (see _count_cliques) are the
+    circles, are the delta1 simplices.
     """
     if k < 3:
         raise ValueError("need k >= 3")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -256,6 +257,77 @@ def twin_graphs(draw, max_n=14):
     return [sum(1 << j for j in range(n) if adjacent[i][j]) for i in range(n)]
 
 
+@st.composite
+def random_graphs(draw, max_n=14):
+    """Full rows of G(n, p): n <= max_n points, each pair adjacent with
+    probability p."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rnd.random() < p:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+@st.composite
+def joined_graphs(draw, max_isolated=0):
+    """Full rows of the join of 2 to 4 random graphs of at most 5 points,
+    with up to max_isolated isolated points added, under a random
+    relabelling."""
+    parts = draw(st.lists(random_graphs(max_n=5), min_size=2, max_size=4))
+    joined = sum(map(len, parts))
+    rows = []
+    for part in parts:
+        start = len(rows)
+        others = ((1 << joined) - 1) ^ ((1 << start + len(part)) - (1 << start))
+        rows += [others | row << start for row in part]
+    rows += [0] * draw(st.integers(0, max_isolated))
+    n = len(rows)
+    perm = draw(st.permutations(range(n)))
+    relabelled = [0] * n
+    for i, row in enumerate(rows):
+        relabelled[perm[i]] = sum(1 << perm[j] for j in range(n) if row >> j & 1)
+    return relabelled
+
+
+def cycle(n):
+    """Full rows of the cycle C_n."""
+    return [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)]
+
+
+def subset_clique_count(graph, k):
+    """Reference: number of k-subsets of the points of graph that are
+    cliques."""
+    return sum(
+        all(graph[a] >> b & 1 for a, b in combinations(sub, 2))
+        for sub in combinations(range(len(graph)), k)
+    )
+
+
+def pairwise_join_factors(graph, piece):
+    """Reference: the components of the complement of graph on the points
+    of the bitset piece, as bitsets in the order of their least points,
+    from an adjacency matrix built pair by pair."""
+    points = [i for i in range(len(graph)) if piece >> i & 1]
+    adjacent = {(a, b): bool(graph[a] >> b & 1) for a in points for b in points}
+    component = {v: v for v in points}  # point -> least point of its component
+    changed = True
+    while changed:
+        changed = False
+        for a in points:
+            for b in points:
+                if a != b and not adjacent[a, b] and component[b] > component[a]:
+                    component[b] = component[a]
+                    changed = True
+    factors = {}
+    for v in points:
+        factors[component[v]] = factors.get(component[v], 0) | 1 << v
+    return [factors[least] for least in sorted(factors)]
+
+
 def scaled_sq_dist(P, i, j):
     """Reference: D^2 * sq_dist(p_i, p_j) as an integer pair, with D the lcm
     of every coordinate denominator of P."""
@@ -267,7 +339,7 @@ def scaled_sq_dist(P, i, j):
     return tuple(map(int, key))
 
 
-# False-twin classes of sizes 1 to 4 (see census._twin_classes).  On the
+# False twins, points with equal rows, in classes of sizes 1 to 4.  On the
 # first circle 0 and 6 share the quarter partner 3, and 13 (= 1), -17
 # (= 7) and 2 have none.  On the second, 0 and 12 share the partners 6 and
 # 18, which share 0 and 12, and 1, 2, 4 and 29 (= 5) have none.  The third
@@ -298,35 +370,6 @@ HUGE_MODULUS = CircleConfig(
         Component("circle", 12, (5,)),
     ),
 )
-
-
-def equal_row_classes(graph):
-    """Reference: the classes of points with equal rows of graph, each
-    ascending, in the order of their least members."""
-    classes = {}
-    for i, row in enumerate(graph):
-        classes.setdefault(row, []).append(i)
-    return list(classes.values())
-
-
-def assert_twin_classes(graph):
-    """census._twin_classes(graph) against equal_row_classes; returns the
-    classes."""
-    classes = equal_row_classes(graph)
-    reps, sizes, planes = census._twin_classes(graph)
-    assert reps == sum(1 << members[0] for members in classes)
-    expected_sizes = [0] * len(graph)
-    for members in classes:
-        expected_sizes[members[0]] = len(members)
-    assert sizes == expected_sizes
-    largest = max(map(len, classes), default=1)
-    assert planes == [
-        sum(1 << members[0] for members in classes if len(members) > j)
-        for j in range(1, largest)
-    ]
-    for members in classes:
-        assert not any(graph[a] >> b & 1 for a, b in combinations(members, 2))
-    return classes
 
 
 class TestTickChordClass:
@@ -583,44 +626,75 @@ class TestCliqueCount:
         expected = CountReport(*map(kinds.count, ("delta1", "delta2", "delta3")))
         assert brute_force_structured(config, k) == expected
 
+    # Points on different circles are always adjacent in the cross-circle
+    # graph, and points on one circle never are.
     @given(tick_configs())
     @example(TWIN_CLASSES)
-    def test_twin_classes_are_exact(self, config):
-        compatible, cross, _ = census._pair_graphs(config)
-        for members in assert_twin_classes(compatible):
-            assert len({cross[i] for i in members}) == 1  # one circle
+    def test_cross_circle_factors_are_circles(self, config):
+        _, cross, _ = census._pair_graphs(config)
+        circles = []
+        start = 0
+        for comp in config.components:
+            if comp.size:
+                circles.append((1 << start + comp.size) - (1 << start))
+            start += comp.size
+        assert census._join_factors(cross, (1 << config.n) - 1) == circles
 
     def test_twin_example_has_large_classes(self):
-        classes = equal_row_classes(census._pair_graphs(TWIN_CLASSES)[0])
-        assert sorted(map(len, classes)) == [1, 1, 2, 2, 2, 3, 3, 4]
+        classes = Counter(census._pair_graphs(TWIN_CLASSES)[0])
+        assert sorted(classes.values()) == [1, 1, 2, 2, 2, 3, 3, 4]
 
-    # The full graph with unit weights is the reference for the quotient,
-    # on the compatible-pair graph, on the cross-circle graph, whose
-    # quotient has one class per circle, and on the third-turn graph.
+    # The unit-weight walk over every point is the reference for the
+    # join-factor count, on the compatible-pair graph, on the cross-circle
+    # graph, whose join factors are its circles, and on the third-turn
+    # graph.
     @given(tick_configs(max_circles=5, max_size=6), st.integers(3, 6))
     @example(TWIN_CLASSES, 3)
     @example(TWIN_CLASSES, 5)
     def test_weighted_walk_matches_plain_walk(self, config, k):
-        compatible, cross, thirds = census._pair_graphs(config)
-        _, sizes, _ = census._twin_classes(cross)
-        assert [s for s in sizes if s] == [c.size for c in config.components if c.size]
-        for graph in (compatible, cross, thirds):
+        for graph in census._pair_graphs(config):
             assert census._count_cliques(graph, k) == plain_clique_count(graph, k)
 
-    # _twin_classes and the walk take any graph of full rows, not only the
-    # tick graphs.
-    @given(twin_graphs())
-    def test_twin_classes_of_any_graph(self, graph):
-        assert_twin_classes(graph)
-
-    @given(twin_graphs(), st.integers(3, 5))
+    # _join_factors and the count take any graph of full rows, not only the
+    # tick graphs: random graphs with planted false twins, G(n, p), joins
+    # of G(n, p) graphs with and without isolated points, and cycles,
+    # whose complements are connected from C_5 on.
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            twin_graphs(),
+            random_graphs(),
+            joined_graphs(),
+            joined_graphs(max_isolated=3),
+        ),
+        st.integers(2, 5),
+    )
     def test_weighted_walk_of_any_graph(self, graph, k):
-        cliques = sum(
-            all(graph[a] >> b & 1 for a, b in combinations(sub, 2))
-            for sub in combinations(range(len(graph)), k)
-        )
+        cliques = subset_clique_count(graph, k)
         assert plain_clique_count(graph, k) == cliques
         assert census._count_cliques(graph, k) == cliques
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_count_of_cycles(self, n):
+        graph = cycle(n)
+        assert census._join_factors(graph, (1 << n) - 1) == [(1 << n) - 1]
+        for k in range(2, 7):
+            cliques = subset_clique_count(graph, k)
+            assert cliques == (n if k == 2 else 0)
+            assert plain_clique_count(graph, k) == cliques
+            assert census._count_cliques(graph, k) == cliques
+
+    @given(
+        st.one_of(twin_graphs(), random_graphs(), joined_graphs(max_isolated=3)),
+        st.data(),
+    )
+    def test_join_factors_match_complement_components(self, graph, data):
+        everyone = (1 << len(graph)) - 1
+        piece = data.draw(st.integers(0, everyone)) if graph else 0
+        for mask in (everyone, piece):
+            assert census._join_factors(graph, mask) == pairwise_join_factors(
+                graph, mask
+            )
 
     @pytest.mark.parametrize("side_sq", [None, Fraction(2), Fraction(3)])
     @pytest.mark.parametrize("k", [3, 4, 5])
@@ -704,15 +778,14 @@ class TestCoordinateCliques:
 
     def check_distance_graphs(self, P):
         """Every pair of P lies in exactly one distance graph, keyed by its
-        scaled squared distance, in both of its rows; the twin quotient
-        counts the cliques of each graph as the unit-weight walk does; and
-        a side filter keeps only its key."""
+        scaled squared distance, in both of its rows; the join-factor count
+        gives the cliques of each graph as the unit-weight walk does; and a
+        side filter keeps only its key."""
         scaled = census._point_set_rows(P)
         graphs = census._distance_graphs(*scaled, None)
         n = len(P)
         for rows in graphs.values():
             assert_symmetric(rows)
-            assert_twin_classes(rows)
             for k in range(3, 7):
                 assert census._count_cliques(rows, k) == plain_clique_count(rows, k)
         for i, j in combinations(range(n), 2):

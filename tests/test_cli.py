@@ -101,13 +101,14 @@ class TestCount:
             "coords": (0, "0\n"), "ticks": (0, "0,0,0,0\n"), "closed": (0, "0,0,0,0\n"),
         }
 
-    @pytest.mark.parametrize("method", ["ticks", "closed"])
+    @pytest.mark.parametrize("method", ["coords", "ticks", "closed"])
     def test_huge_k_counts_zero(self, config_file, capsys, method):
-        # neither route builds anything of size k
+        # no route builds anything of size k
+        row = "0" if method == "coords" else "0,0,0,0"
         assert run(
             capsys, "count", "--in", config_file, "--method", method,
             "--k", "1000000000000", "--csv",
-        ) == (0, "0,0,0,0\n")
+        ) == (0, row + "\n")
 
     def test_worker_count_does_not_change_bytes(self, config_file, capsys):
         # --workers is accepted and ignored: the tick census has no pool
