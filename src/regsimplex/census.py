@@ -21,9 +21,9 @@ from operator import mul, or_
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import PointSet
-from .exactnum import Quad3, cos30_table, sin30_table
+from .exactnum import Quad3
 from .formulas import count_polynomial
-from .lenz import CircleConfig, embedding_steps
+from .lenz import CircleConfig, Rows, embedding
 
 QUARTER = "quarter"
 THIRD = "third"
@@ -112,9 +112,10 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
     The cross-circle graph joins points on different circles; the
     compatible-pair graph adds the pairs on one circle a quarter turn
     apart; the third-turn graph joins points on one circle a third of a
-    turn apart.  Each point looks its partners up at the quarter and third
-    steps of CHORD_BY_TWELFTHS in a dict from tick residue to point index,
-    so a circle costs O(its points) whatever its modulus.
+    turn apart.  Each point looks its partners up one and three quarters,
+    and one and two thirds, of a turn ahead in a dict from tick residue to
+    point index, so a circle costs O(its points) whatever its modulus; the
+    steps share no table with tick_chord_class, the pairwise reference.
     """
     compatible: list[int] = []
     cross: list[int] = []
@@ -123,20 +124,18 @@ def _pair_graphs(config: CircleConfig) -> tuple[list[int], list[int], list[int]]
     start = 0
     for comp in config.components:
         N = comp.modulus
-        steps = [
-            (j * N // 12, kind)
-            for j, kind in enumerate(CHORD_BY_TWELFTHS)
-            if kind in (QUARTER, THIRD)
-        ]
+        steps = (
+            (N // 4, True), (3 * N // 4, True), (N // 3, False), (2 * N // 3, False)
+        )
         index = {t % N: i for i, t in enumerate(comp.ticks, start)}
         end = start + comp.size
         off_circle = everyone ^ ((1 << end) - (1 << start))
         for t in comp.ticks:
             quarter = third = 0
-            for step, kind in steps:
+            for step, is_quarter in steps:
                 j = index.get((t + step) % N)
                 if j is not None:
-                    if kind == QUARTER:
+                    if is_quarter:
                         quarter |= 1 << j
                     else:
                         third |= 1 << j
@@ -309,41 +308,7 @@ def count_structured(
     return CountReport(d1, d2, d3)
 
 
-#: Coordinate-oracle rows: per point, each nonzero coordinate (scaled by a
-#: common D) as an integer pair (a, b) standing for a + b*rt3.
-_Rows = list[dict[int, tuple[int, int]]]
-
-#: The nonzero coordinates of the point at step s*30 degrees on a unit
-#: circle, doubled so that they are integer pairs (a, b) standing for
-#: a + b*rt3: (offset, pair) for cos at offset 0 and sin at offset 1, from
-#: exactnum's table.
-_TWICE_TRIG30 = tuple(
-    tuple(
-        (offset, (int(2 * x.a), int(2 * x.b)))
-        for offset, x in enumerate((cos30_table(s), sin30_table(s)))
-        if not x.is_zero()
-    )
-    for s in range(12)
-)
-
-
-def _config_rows(config: CircleConfig) -> tuple[int, _Rows]:
-    """Coordinate-oracle input for a configuration: (D, rows) with D = 2,
-    row i holding the doubled nonzero coordinates of labeled point i (see
-    lenz.embedding_steps, which refuses what cannot be embedded).
-
-    Component refuses ticks that repeat modulo the modulus, distinct ticks
-    on 30-degree multiples have distinct steps, and points on different
-    circles have disjoint nonzero coordinates, so the rows need no
-    distinctness check; they are sparse, so ambient_dim costs nothing.
-    """
-    return 2, [
-        {coord + offset: pair for offset, pair in _TWICE_TRIG30[step]}
-        for coord, step in embedding_steps(config)
-    ]
-
-
-def _point_set_rows(P: PointSet) -> tuple[int, _Rows]:
+def _point_set_rows(P: PointSet) -> tuple[int, Rows]:
     """Coordinate-oracle input for any point set over Q(rt3): (D, rows)
     with D the lcm of every coordinate denominator, so that coordinate c
     of point i, (a + b*rt3)/D, is the integer pair rows[i][c] = (a, b);
@@ -364,20 +329,20 @@ def _point_set_rows(P: PointSet) -> tuple[int, _Rows]:
     return D, rows
 
 
-def _coordinate_rows(source: Union[CircleConfig, PointSet]) -> tuple[int, _Rows]:
+def _coordinate_rows(source: Union[CircleConfig, PointSet]) -> tuple[int, Rows]:
     """(D, rows) for _distance_graphs from either front end."""
     if isinstance(source, CircleConfig):
-        return _config_rows(source)
+        return embedding(source)
     return _point_set_rows(source)
 
 
-def _distance_graphs(D: int, rows: _Rows, side_sq: Optional[Quad3]) -> dict:
+def _distance_graphs(D: int, rows: Rows, side_sq: Optional[Quad3]) -> dict:
     """One graph per exact squared distance among the points of rows (only
     side_sq, when given), keyed by that distance scaled by D^2, as full
     neighbour rows (int bitsets).
 
     rows[i] maps each nonzero coordinate of point i, scaled by D, to the
-    integer pair (a, b) standing for a + b*rt3 (see _config_rows and
+    integer pair (a, b) standing for a + b*rt3 (see lenz.embedding and
     _point_set_rows).  A squared distance a + b*rt3 is then the integer
     pair (D^2*a, D^2*b), which keys the graphs; side_sq matches as
     (D^2*side_sq.a, D^2*side_sq.b), so a side whose D^2 multiple is not an
@@ -436,7 +401,7 @@ def count_brute_force(
     coordinates: the k-cliques of the distance graphs.  source is a point
     set over Q(rt3), or a configuration whose ticks are 30-degree
     multiples, read as its labeled points on the unit circles with no
-    PointSet built (see _config_rows).  With side_sq given, only simplices
+    PointSet built (see lenz.embedding).  With side_sq given, only simplices
     of that exact squared side count."""
     if k < 3:
         raise ValueError("need k >= 3")

@@ -6,10 +6,10 @@ represents a + b*rt3 with rational a, b, which is enough to house every
 squared chord length between dodecagon vertices: 2-rt3, 1, 2, 3, 2+rt3, 4.
 The coordinate census does not compute in ``Quad3``: it reads a
 configuration's coordinates as integer pairs from a doubled copy of
-``cos30_table``, or scales a point set once to integer pairs (see
-``census._config_rows`` and ``census._point_set_rows``), so its squared
-distances are integer pairs; ``Quad3`` arithmetic serves the geometry
-lemmas, ``lenz.embed_config`` and the test references.
+``cos30_table`` and ``sin30_table``, or scales a point set once to integer
+pairs (see ``lenz.embedding`` and ``census._point_set_rows``), so its
+squared distances are integer pairs; ``Quad3`` arithmetic serves the
+geometry lemmas, ``lenz.embed_config`` and the test references.
 
 Sign determination is exact: no floating point is ever consulted.
 """

@@ -152,19 +152,39 @@ def build_odd_config(n: int, r: int) -> CircleConfig:
     return CircleConfig(ambient_dim=2 * r + 1, radius_sq=Fraction(1), components=tuple(comps))
 
 
-def embedding_steps(config: CircleConfig) -> list[tuple[int, int]]:
-    """(first coordinate, 30-degree step) of each labeled point, in the
-    order of config.labeled_points().
+#: The nonzero coordinates of the point at step s*30 degrees on a unit
+#: circle, doubled so that they are integer pairs (a, b) standing for
+#: a + b*rt3: (offset, pair) for cos at offset 0 and sin at offset 1, from
+#: exactnum's table.
+_TWICE_TRIG30 = tuple(
+    tuple(
+        (offset, (int(2 * x.a), int(2 * x.b)))
+        for offset, x in enumerate((cos30_table(s), sin30_table(s)))
+        if not x.is_zero()
+    )
+    for s in range(12)
+)
+
+
+#: Sparse exact coordinates: per point, each nonzero coordinate (scaled by a
+#: common D) as an integer pair (a, b) standing for a + b*rt3.
+Rows = list[dict[int, tuple[int, int]]]
+
+
+def embedding(config: CircleConfig) -> tuple[int, Rows]:
+    """Exact coordinates of the labeled points: (D, rows) with D = 2, row i
+    holding the nonzero coordinates of labeled point i, times D.
 
     Tick t on modulus N sits at angle step 12*t/N (taken modulo 12), which
     must be an integer for coordinates to stay in Q(rt3); placements with
     more than one dodecagon copy per circle are therefore not embeddable.
     The point then has coordinates cos and sin of step*30 degrees at its
-    first coordinate and the next, and zero elsewhere.  Raises ValueError
-    when the components need more than ambient_dim coordinates, a tick is
-    no 30-degree multiple, or the radius is not 1.
+    component's first coordinate and the next.  Raises ValueError when the
+    components need more than ambient_dim coordinates, a tick is no
+    30-degree multiple, or the radius is not 1.  Component refuses repeated
+    ticks, and circles share no coordinate, so the rows are distinct.
     """
-    steps = []
+    rows = []
     coord = 0
     for comp in config.components:
         if coord + comp.width > config.ambient_dim:
@@ -174,25 +194,25 @@ def embedding_steps(config: CircleConfig) -> list[tuple[int, int]]:
                 raise ValueError(
                     "tick is not a multiple of 30 degrees; cannot embed exactly"
                 )
-            steps.append((coord, (12 * t // comp.modulus) % 12))
+            trig = _TWICE_TRIG30[(12 * t // comp.modulus) % 12]
+            rows.append({coord + offset: pair for offset, pair in trig})
         coord += comp.width
     if config.radius_sq != 1:
         raise ValueError("embedding assumes unit radius")
-    return steps
+    return 2, rows
 
 
 def embed_config(config: CircleConfig) -> PointSet:
-    """Exact Quad3 coordinates for a configuration whose ticks are 30-degree
-    multiples (see embedding_steps), as a dense PointSet of ambient_dim
-    coordinates per point.  The coordinate census reads embedding_steps
-    directly and needs no PointSet; this serves the geometry lemmas and
-    the test references."""
+    """The points of embedding(config) as a dense PointSet of ambient_dim
+    Quad3 coordinates per point, for the geometry lemmas and the test
+    references; the coordinate census reads the rows directly."""
+    D, rows = embedding(config)
     zero = Quad3.of(0)
     pts = []
-    for coord, step in embedding_steps(config):
+    for row in rows:
         coords = [zero] * config.ambient_dim
-        coords[coord] = cos30_table(step)
-        coords[coord + 1] = sin30_table(step)
+        for c, (a, b) in row.items():
+            coords[c] = Quad3(Fraction(a, D), Fraction(b, D))
         pts.append(tuple(coords))
     return PointSet(dim=config.ambient_dim, points=tuple(pts))
 

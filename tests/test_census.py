@@ -27,6 +27,7 @@ from regsimplex.lenz import (
     build_even_config,
     build_odd_config,
     embed_config,
+    embedding,
 )
 from regsimplex.hypergraph import build_simplex_hypergraph
 from test_formulas import subset_expansion
@@ -837,10 +838,10 @@ class TestCoordinateCliques:
                 (Fraction(A, D * D), Fraction(B, D * D)): graph
                 for (A, B), graph in census._distance_graphs(D, rows, side_sq).items()
             }
-            for D, rows in (census._config_rows(config), census._point_set_rows(P))
+            for D, rows in (embedding(config), census._point_set_rows(P))
         ]
         assert unscaled[0] == unscaled[1]
-        _, rows = census._config_rows(config)
+        _, rows = embedding(config)
         assert len({tuple(sorted(row.items())) for row in rows}) == len(rows) == config.n
 
     @pytest.mark.parametrize("k", [0, 1, 2])

@@ -1,22 +1,27 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
 
 from regsimplex.census import (
     brute_force_structured,
+    count_brute_force,
     count_good_pairs,
     count_structured,
     count_inscribed_triangles,
     tick_chord_class,
 )
+from regsimplex.exactnum import Quad3, cos30_table, sin30_table
 from regsimplex.lenz import (
+    CircleConfig,
     Component,
     build_even_config,
     build_odd_config,
     config_from_json,
     config_to_json,
     embed_config,
+    embedding,
     place_on_circle,
     theorem12_partition,
 )
@@ -139,6 +144,63 @@ class TestEmbedding:
     def test_odd_config_embeds(self):
         pts = embed_config(build_odd_config(9, 3))
         assert pts.dim == 7 and len(pts) == 9
+
+    # Programmatic configurations skip config_from_json's checks, so each
+    # refusal of embedding is reached by every route that embeds.
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                CircleConfig(5, Fraction(1), (Component("circle", 12, (0,)),) * 3),
+                "components exceed ambient dimension",
+            ),
+            (build_even_config(39, 3, (13, 13, 13)), "not a multiple of 30 degrees"),
+            (
+                build_even_config(6, 3, (2, 2, 2))._replace(radius_sq=Fraction(2)),
+                "embedding assumes unit radius",
+            ),
+        ],
+        ids=["too-wide", "off-30-degrees", "radius"],
+    )
+    @pytest.mark.parametrize(
+        "embed",
+        [embedding, embed_config, partial(count_brute_force, k=3)],
+        ids=["embedding", "embed_config", "count_brute_force"],
+    )
+    def test_refusals(self, config, message, embed):
+        with pytest.raises(ValueError, match=message):
+            embed(config)
+
+    # The doubled integer table behind embedding against exactnum's exact
+    # cos and sin, on a 3-wide sphere2 and on a modulus-24 circle whose
+    # ticks include residues taken below 0 and above N.
+    @pytest.mark.parametrize(
+        "config",
+        [
+            build_even_config(20, 3, (6, 6, 8)),
+            build_odd_config(9, 3),
+            CircleConfig(
+                5,
+                Fraction(1),
+                (
+                    Component("circle", 24, (0, 2, 6, 10, 22, 28, -4)),
+                    Component("circle", 12, (5,)),
+                ),
+            ),
+        ],
+        ids=["even", "odd", "modulus-24"],
+    )
+    def test_points_match_exact_trig(self, config):
+        expected = []
+        coord = 0
+        for comp in config.components:
+            for t in comp.ticks:
+                s = 12 * t // comp.modulus % 12
+                coords = [Quad3.of(0)] * config.ambient_dim
+                coords[coord : coord + 2] = cos30_table(s), sin30_table(s)
+                expected.append(tuple(coords))
+            coord += comp.width
+        assert embed_config(config).points == tuple(expected)
 
 
 class TestComponentValue:
