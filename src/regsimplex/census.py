@@ -154,20 +154,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _clique_frontiers(graph: list[int], k: int):
-    """Walk the k-cliques of graph, given by full neighbour rows, in index
-    order, one level short.
-
-    Yields (prefix, ext) for every (k-1)-clique prefix that extends at
-    all: ext is the bitset of common neighbors above the prefix, and each
-    of its bits completes one k-clique.
-    """
-    return _extend(graph, k - 2, (), (1 << len(graph)) - 1)
-
-
 def _extend(graph, last, prefix, cand):
-    """The frontiers of _clique_frontiers below prefix, whose common
-    neighbors above it are cand; last is the prefix length to yield at."""
+    """Walk the cliques of graph (full neighbour rows) above prefix, in index
+    order, one level short: cand holds prefix's common neighbours above it,
+    and each (last + 1)-clique with common neighbours ext above it yields
+    (clique, ext)."""
     while cand:
         low = cand & -cand
         cand ^= low
@@ -180,12 +171,11 @@ def _extend(graph, last, prefix, cand):
                 yield from _extend(graph, last, prefix + (v,), ext)
 
 
-def _cliques(graphs, k: int):
-    """Every k-clique of each graph, as a tuple of ascending indices."""
-    for graph in graphs:
-        for prefix, ext in _clique_frontiers(graph, k):
-            for w in _bits(ext):
-                yield prefix + (w,)
+def _cliques(graph: list[int], k: int):
+    """Every k-clique (k >= 2) of graph, as a tuple of ascending indices."""
+    for prefix, ext in _extend(graph, k - 2, (), (1 << len(graph)) - 1):
+        for w in _bits(ext):
+            yield prefix + (w,)
 
 
 def _join_factors(graph: list[int], piece: int) -> list[int]:
@@ -253,8 +243,10 @@ def structured_simplices(config: CircleConfig, k: int) -> list[tuple[int, ...]]:
     if k < 3:
         raise ValueError("need k >= 3")
     compatible, _, thirds = _pair_graphs(config)
-    graphs = (compatible, thirds) if k == 3 else (compatible,)
-    return list(_cliques(graphs, k))
+    simplices = list(_cliques(compatible, k))
+    if k == 3:
+        simplices += _cliques(thirds, 3)
+    return simplices
 
 
 def brute_force_structured(
@@ -416,5 +408,7 @@ def coordinate_simplices(
     points of source (P.points, or config.labeled_points())."""
     if k < 3:
         raise ValueError("need k >= 3")
-    graphs = _distance_graphs(*_coordinate_rows(source), side_sq).values()
-    return list(_cliques(graphs, k))
+    simplices = []
+    for graph in _distance_graphs(*_coordinate_rows(source), side_sq).values():
+        simplices += _cliques(graph, k)
+    return simplices

@@ -17,12 +17,10 @@ Sign determination is exact: no floating point is ever consulted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 Rational = Fraction
 
 
-@total_ordering
 class Quad3:
     """The real number a + b*rt3 with a, b rational; a value, never mutated.
 
@@ -93,10 +91,6 @@ class Quad3:
 
     def __lt__(self, other: "Quad3") -> bool:
         return (self - other).sign() < 0
-
-    def __float__(self) -> float:
-        # Non-authoritative; never used in predicates.
-        return float(self.a) + float(self.b) * 3 ** 0.5
 
     def __str__(self) -> str:
         return f"{Fraction(self.a)}+{Fraction(self.b)}*rt3"

@@ -12,7 +12,7 @@ from itertools import chain, combinations, product
 from math import comb
 from typing import Union
 
-from .census import _bits, _clique_frontiers, coordinate_simplices, structured_simplices
+from .census import _bits, _cliques, coordinate_simplices, structured_simplices
 from .geometry import PointSet, Value
 from .lenz import CircleConfig, check_json_type
 
@@ -155,10 +155,11 @@ def contains_copy(G: Hypergraph, H: Hypergraph) -> bool:
     G, H = _support(G), _support(H)
     g_edges, g_deg, g_shadow = _index(G)
     h_edges, h_deg, h_shadow = _index(H)
-    if not _has_clique(g_shadow, _clique_number(h_shadow)):
+    size = _clique_number(h_shadow)
+    if size >= 2 and next(_cliques(g_shadow, size), None) is None:
         return False
     degree_ok = {
-        d: _mask(g for g in range(G.n) if g_deg[g] >= d) for d in set(h_deg)
+        d: sum(1 << g for g in range(G.n) if g_deg[g] >= d) for d in set(h_deg)
     }
     twin = _twins(h_edges, h_deg)
     last = {}
@@ -195,10 +196,6 @@ def _support(F: Hypergraph) -> Hypergraph:
     label = {v: i for i, v in enumerate(sorted(vertices))}.__getitem__
     edges = frozenset(frozenset(map(label, e)) for e in F.edges)
     return Hypergraph(len(vertices), F.k, edges)
-
-
-def _mask(vertices) -> int:
-    return sum(1 << v for v in vertices)
 
 
 def _index(F: Hypergraph) -> tuple[set[int], list[int], list[int]]:
@@ -260,17 +257,10 @@ class _Links(dict):
         return value
 
 
-def _has_clique(shadow: list[int], size: int) -> bool:
-    """Whether the graph with full neighbour rows shadow has a size-clique,
-    by census's clique lister."""
-    if size <= 1:
-        return len(shadow) >= size
-    return next(_clique_frontiers(shadow, size), None) is not None
-
-
 def _clique_number(shadow: list[int]) -> int:
-    size = 0
-    while _has_clique(shadow, size + 1):
+    """Clique number of the graph with full neighbour rows shadow."""
+    size = min(len(shadow), 1)
+    while next(_cliques(shadow, size + 1), None) is not None:
         size += 1
     return size
 

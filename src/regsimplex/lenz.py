@@ -13,7 +13,6 @@ differences N/12 * {1..6}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 from typing import NamedTuple
 
 from .exactnum import Quad3, cos30_table, sin30_table
@@ -108,7 +107,7 @@ def place_on_circle(n_i: int) -> tuple[int, tuple[int, ...]]:
     """
     if n_i < 0:
         raise ValueError("negative point count")
-    m = max(1, ceil(n_i / 12))
+    m = max(1, -(-n_i // 12))
     N = 12 * m
     full = n_i // 12
     ticks = [j + c * m for j in range(full) for c in range(12)]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from regsimplex import cli
+from regsimplex import census, cli
 from regsimplex.cli import main, run_verify
 from regsimplex.lenz import config_from_json, config_to_json
 from test_census import HUGE_MODULUS
@@ -150,6 +150,12 @@ class TestFormula:
         )
         assert json.loads(out)["value"] == "1728"
 
+    def test_t2r(self, capsys):
+        _, out = run(capsys, "formula", "--which", "t2r", "--n", "36", "--r", "3")
+        assert json.dumps(json.loads(out)) == (
+            '{"argmax": [[12, 12, 12]], "terms": [1728, 864, 12], "value": 2604}'
+        )
+
 
 class TestMaximize:
     def test_json(self, capsys):
@@ -158,6 +164,17 @@ class TestMaximize:
         assert payload["value"] == 2604
         assert payload["argmax"] == [[12, 12, 12]]
         assert payload["boundary_touched"] is False
+
+    def test_csv(self, capsys):
+        argv = ["maximize", "--n", "120", "--r", "8", "--k", "6", "--csv"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == '120,8,6,539772460,"14 14 14 14 16 16 16 16"\n'
+
+    def test_csv_tie_gives_one_line_per_maximizer(self, capsys):
+        code, out = run(capsys, "maximize", "--n", "3", "--r", "3", "--k", "3", "--csv")
+        assert code == 0
+        assert out == '3,3,3,1,"0 1 2"\n3,3,3,1,"1 1 1"\n'
 
 
 class TestVerify:
@@ -188,6 +205,34 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0].startswith("n=8 r=4 k=4 ") and lines[1].startswith("n=8 r=5 k=4 ")
         assert all(line.endswith("OK") for line in lines)
+
+    def test_closed_vs_ticks_mismatch_fails(self, monkeypatch):
+        ticks = census.brute_force_structured
+
+        def one_delta2_too_many(config, k):
+            report = ticks(config, k)
+            return report._replace(delta2=report.delta2 + 1)
+
+        monkeypatch.setattr(census, "brute_force_structured", one_delta2_too_many)
+        ok, report = run_verify(range(36, 37), 3, 3)
+        assert not ok
+        assert report == (
+            "n=36 r=3 k=3 partition=(12, 12, 12) MISMATCH closed vs ticks: "
+            "{'delta1': 1728, 'delta2': 864, 'delta3': 12, 'total': 2604} != "
+            "{'delta1': 1728, 'delta2': 865, 'delta3': 12, 'total': 2605}\n"
+        )
+
+    def test_coords_mismatch_fails(self, monkeypatch, capsys):
+        coords = census.count_brute_force
+        monkeypatch.setattr(
+            census, "count_brute_force", lambda config, k: coords(config, k) + 1
+        )
+        line = (
+            "n=36 r=3 k=3 partition=(12, 12, 12) "
+            "closed=2604 coords=2605 formula=2604 ticks=2604 MISMATCH\n"
+        )
+        assert run_verify(range(36, 37), 3, 3) == (False, line)
+        assert run(capsys, "verify", "--n", "36", "--r", "3") == (1, line)
 
     def test_worker_count_does_not_change_bytes(self):
         ok1, rep1 = run_verify(range(3, 15), 3, 3, workers=1)

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,11 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
 quads = st.builds(Quad3, rationals, rationals)
+
+
+def approx(x: Quad3) -> float:
+    """A float reading of x, for cross-checks only."""
+    return float(x.a) + float(x.b) * 3 ** 0.5
 
 
 class TestRational:
@@ -39,7 +46,7 @@ class TestQuad3Compare:
         x = Quad3.of(2, -1)
         y = Quad3.of(Fraction(1, 4))
         assert x > y
-        assert float(x) > float(y)  # high-precision float cross-check
+        assert approx(x) > approx(y)  # high-precision float cross-check
 
     def test_reflexive(self):
         x = Quad3.of(Fraction(3, 7), Fraction(-2, 5))
@@ -64,7 +71,7 @@ class TestQuad3Compare:
 
     @given(quads)
     def test_sign_matches_float(self, x):
-        f = float(x)
+        f = approx(x)
         if abs(f) > 1e-9:
             assert x.sign() == (1 if f > 0 else -1)
 
@@ -117,7 +124,7 @@ class TestCos30Table:
     def test_sin_is_shifted_cos(self, s):
         import math
 
-        assert abs(float(sin30_table(s)) - math.sin(s * math.pi / 6)) < 1e-12
+        assert abs(approx(sin30_table(s)) - math.sin(s * math.pi / 6)) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -162,3 +169,40 @@ class TestOperatorPatching:
         assert x == Quad3(Fraction(1, 2), Fraction(3)) and x != Quad3.of(3)
         assert len({x, Quad3.of(Fraction(2, 4), 3), Quad3.of(3)}) == 2
         assert eval(repr(x)) == x
+
+
+class TestNoFloat:
+    """No float reaches any predicate: the package source has no float
+    literal, float() call or __float__ method, and true division only in
+    the modules where / divides Fractions and Quad3s exactly."""
+
+    SOURCES = sorted(
+        (Path(__file__).resolve().parent.parent / "src" / "regsimplex").glob("*.py")
+    )
+    EXACT_DIVISION = {"exactnum.py", "geometry.py"}
+
+    def test_sources_found(self):
+        names = {p.name for p in self.SOURCES}
+        assert {"exactnum.py", "geometry.py", "lenz.py"} <= names
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+    def test_no_float(self, path):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                found.append((node.lineno, "float literal"))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                found.append((node.lineno, "float() call"))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__float__":
+                found.append((node.lineno, "__float__ method"))
+            elif (
+                isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)
+                and path.name not in self.EXACT_DIVISION
+            ):
+                found.append((node.lineno, "true division"))
+        assert found == []
