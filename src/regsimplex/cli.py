@@ -234,7 +234,7 @@ def cmd_hypergraph(args) -> tuple[int, str]:
         H = _read_json(args.infile, hypergraph.Hypergraph.from_json)
         H = hypergraph.blowup(H, args.blowup)
     else:
-        G, H = (_read_json(path, hypergraph.Hypergraph.from_json) for path in args.contains)
+        G, H = (_read_json(path, hypergraph.Index.from_json) for path in args.contains)
         return 0, _dump_json({"contains": hypergraph.contains_copy(G, H)})
     return 0, _dump_json(H.to_json())
 

@@ -98,6 +98,8 @@ def eval_corollary13(n: int, r: int) -> FormulaResult:
 
 def eval_unit_triangle_formula(partition: tuple[int, ...]) -> FormulaResult:
     """Triangles of the cross-circle side only: f_3 minus the triangle term."""
+    if len(partition) < 3:
+        raise ValueError(f"need a partition of at least 3 classes, got {len(partition)}")
     res = eval_f_k(partition, 3)
     t1, t2, _ = res.terms
     return FormulaResult(value=t1 + t2, terms=(t1, t2, 0))

@@ -144,6 +144,14 @@ class TestFormula:
         _, out = run(capsys, "formula", "--which", "unit", "--partition", "12,12,12")
         assert json.loads(out)["value"] == 2592
 
+    @pytest.mark.parametrize("partition,classes", [("12", 1), ("1,2", 2)])
+    def test_unit_names_the_classes_it_needs(self, capsys, partition, classes):
+        # unit reads no --k, so the error must not ask for r >= k
+        argv = ["formula", "--which", "unit", "--partition", partition]
+        assert assert_one_line_error(capsys, argv) == (
+            f"regsimplex: error: need a partition of at least 3 classes, got {classes}\n"
+        )
+
     def test_leading(self, capsys):
         _, out = run(
             capsys, "formula", "--which", "leading", "--n", "36", "--r", "3", "--k", "3"
@@ -481,15 +489,28 @@ class TestBadInput:
                 {"n": 3, "k": 3, "edges": [[1, 2, 0], [True, 2, 0]]},
                 "each edge must be a list of integers",
             ),
+            # refused by range, before any bit is shifted by the vertex
+            ({"n": 3, "k": 3, "edges": [[0, 1, 10**18]]}, "edge vertex out of range"),
+            # the order of the checks: types, n and k, edge size, vertex
+            # range, repeated vertex, repeated edge
+            (
+                {"n": 3, "k": 3, "edges": [[0, 0, 5], [0, 0, 5]]},
+                "edge vertex out of range",
+            ),
+            ({"n": 3, "k": 3, "edges": [[0, 0, 1], [0, 1]]}, "edge of wrong size"),
         ],
     )
     def test_hypergraph_json_types(self, tmp_path, capsys, obj, message):
+        # --blowup and --contains read a file through one set of checks, so
+        # both print the same line, which names the file
         path = tmp_path / "h.json"
         path.write_text(json.dumps(obj))
+        line = f"regsimplex: error: {path}: "
         argv = ["hypergraph", "--blowup", "2", "--in", str(path)]
-        assert message in assert_one_line_error(capsys, argv)
+        err = assert_one_line_error(capsys, argv)
+        assert err.startswith(line) and message in err
         argv = ["hypergraph", "--contains", str(path), str(path)]
-        assert message in assert_one_line_error(capsys, argv)
+        assert assert_one_line_error(capsys, argv) == err
 
     def test_hypergraph_missing_key(self, tmp_path, capsys):
         path = tmp_path / "h.json"

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, permutations
 from math import comb
@@ -6,6 +7,7 @@ import pytest
 
 from regsimplex import hypergraph
 from regsimplex.census import count_structured
+from regsimplex.cli import main
 from regsimplex.hypergraph import (
     Hypergraph,
     blowup,
@@ -209,7 +211,8 @@ class TestContainsCopy:
         # a class, and the four copies of the two unshared ones form one.
         # Half the hosts get a planted copy; the twin order must not lose it.
         H = blowup(Hypergraph(4, 3, frozenset(map(frozenset, [(0, 1, 2), (0, 1, 3)]))), 2)
-        assert hypergraph._twins(*hypergraph._index(H)[:2]) == [0, 0, 2, 2, 4, 4, 4, 4]
+        index = hypergraph._index(H)
+        assert hypergraph._twins(index.edges, index.deg) == [0, 0, 2, 2, 4, 4, 4, 4]
         rng = random.Random(23)
         answers = []
         for i in range(16):
@@ -289,7 +292,7 @@ class TestLinksOnFirstUse:
         for _ in range(12):
             n = rng.randint(k + 1, 9)
             G = random_hypergraph(rng, n, k, rng.randint(1, comb(n, k) // 2))
-            link = hypergraph._Links(hypergraph._index(G)[0], (1 << G.n) - 1)
+            link = hypergraph._Links({_bitset(e) for e in G.edges}, (1 << G.n) - 1)
             eager = _eager_links(G)
             assert set(eager) == {
                 _bitset(f) for e in G.edges for f in combinations(e, k - 1)
@@ -338,7 +341,7 @@ class TestCliqueNumber:
         for _ in range(20):
             n = rng.randint(k, 9)
             G = random_hypergraph(rng, n, k, rng.randint(1, 6))
-            shadow = hypergraph._index(G)[2]
+            shadow = hypergraph._index(G).shadow
             assert hypergraph._clique_number(shadow) == _max_clique(shadow)
 
 
@@ -402,7 +405,7 @@ class TestSameSearchAnyLabels:
         assert place_calls[0] == 594182
 
     def test_relabelling_keeps_the_answer(self):
-        # vertices moved injectively into [0, 3n) leave gaps that _support
+        # vertices moved injectively into [0, 3n) leave gaps that _index
         # closes; H.n <= G.n holds after the move exactly when it did before
         rng = random.Random(17)
 
@@ -416,6 +419,50 @@ class TestSameSearchAnyLabels:
             queries += _oracle_queries(*case)
         for G, H in queries:
             assert contains_copy(spread(G), spread(H)) == contains_copy(G, H), (G, H)
+
+
+class TestSameSearchThroughTheCli:
+    # hypergraph --contains reads each file straight into the index that
+    # contains_copy builds from a Hypergraph; the answers and the search
+    # must be the same
+    @staticmethod
+    def cli_contains(tmp_path, capsys, G, H) -> bool:
+        paths = []
+        for F, name in ((G, "g.json"), (H, "h.json")):
+            paths.append(str(tmp_path / name))
+            (tmp_path / name).write_text(json.dumps(F.to_json()))
+        assert main(["hypergraph", "--contains", *paths]) == 0
+        return json.loads(capsys.readouterr().out)["contains"]
+
+    def test_answers_as_contains_copy(self, tmp_path, capsys):
+        queries = list(_planted_queries())
+        for case in TestContainsCopy.ORACLE_CASES:
+            queries += _oracle_queries(*case)
+        answers = set()
+        for G, H in queries:
+            answer = contains_copy(G, H)
+            assert self.cli_contains(tmp_path, capsys, G, H) is answer, (G, H)
+            answers.add(answer)
+        assert answers == {True, False}
+
+    def test_one_contains_copy_call(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's per-layer tracing times and counts the command's
+        # search by its contains_copy calls
+        calls = []
+
+        def counting(G, H):
+            calls.append((type(G), type(H)))
+            return contains_copy(G, H)
+
+        monkeypatch.setattr(hypergraph, "contains_copy", counting)
+        assert self.cli_contains(tmp_path, capsys, *next(_planted_queries())) is True
+        assert calls == [(hypergraph.Index, hypergraph.Index)]
+
+    def test_deadline_query_makes_the_same_calls(self, tmp_path, capsys, place_calls):
+        G = build_simplex_hypergraph(build_even_config(25, 3, (12, 12, 1)), 3)
+        H = blowup(make_pattern_H(2, 3), 2)
+        assert self.cli_contains(tmp_path, capsys, G, H) is False
+        assert place_calls[0] == 594182
 
 
 def _injective_search_limited(G, H):
